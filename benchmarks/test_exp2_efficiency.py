@@ -12,6 +12,8 @@ and Ethainter's single-contract latency competitive with (here: much lower
 than) the symbolic baseline's.
 """
 
+import gc
+import statistics
 import time
 
 from benchmarks.conftest import print_table
@@ -96,6 +98,54 @@ def test_lift_stage_cost(benchmark, corpus):
     contract = max(corpus, key=lambda c: len(c.runtime))
     program = benchmark(lambda: lift(contract.runtime))
     assert program.blocks
+
+
+# JUMPDEST; PUSH1 1; PUSH1 2; ADD; POP — one static block that falls
+# through to the next.
+_STRAIGHT_LINE_BLOCK = bytes([0x5B, 0x60, 0x01, 0x60, 0x02, 0x01, 0x50])
+LIFT_SCALING_BLOCKS = (500, 1_000, 2_000, 4_000, 8_000)
+
+
+def _lift_us_per_block(blocks: int, repetitions: int = 3) -> float:
+    """Median over ``repetitions`` of lift time per static block, in µs,
+    for straight-line code of ``blocks`` JUMPDEST blocks.
+
+    The cyclic garbage collector is paused while a lift is timed, as
+    :mod:`timeit` does: when its full collections trip depends on how many
+    objects the whole process holds, which would make the per-block cost
+    step with the test session's heap rather than with the lifter's work.
+    """
+    code = _STRAIGHT_LINE_BLOCK * blocks + b"\x00"  # STOP
+    samples = []
+    for _ in range(repetitions):
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            program = lift(code)
+            elapsed = time.perf_counter() - started
+        finally:
+            gc.enable()
+        samples.append(elapsed / blocks * 1e6)
+    assert len(program.blocks) == blocks
+    return statistics.median(samples)
+
+
+def test_lift_cost_per_block_is_flat(benchmark):
+    """Lift is linear in code size: µs per block at 8,000 blocks stays
+    within 2x of the value at 500 (a block split that rescans the whole
+    instruction list per block is ~12x here)."""
+    costs = benchmark.pedantic(
+        lambda: {blocks: _lift_us_per_block(blocks) for blocks in LIFT_SCALING_BLOCKS},
+        rounds=1,
+        iterations=1,
+    )
+    print_table(
+        "lift cost by code size (straight-line JUMPDEST blocks)",
+        ["blocks", "us per block"],
+        [(blocks, "%.1f" % cost) for blocks, cost in costs.items()],
+    )
+    assert costs[8_000] <= 2 * costs[500]
 
 
 def test_analysis_vs_symbolic_latency(benchmark, corpus):

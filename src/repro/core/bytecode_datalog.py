@@ -50,6 +50,7 @@ IDB:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
@@ -59,7 +60,7 @@ from repro.core.guards import DS_LOOKUP, EQ_SENDER, GuardModel, build_guard_mode
 from repro.core.ordering import CallOrderModel, build_call_order_model
 from repro.core.storage_model import StorageModel, build_storage_model, memory_var
 from repro.core.taint import TaintOptions, TaintResult
-from repro.datalog import Database, Engine, parse_program
+from repro.datalog import Database, Engine, Rule, parse_program
 from repro.decompiler import lift
 
 # --------------------------------------------------------------------- rules
@@ -304,15 +305,29 @@ def _load_edb(edb: Dict[str, Set[Tuple]]) -> Database:
     return database
 
 
-def _rules(options: TaintOptions, reentrancy: bool = False):
+def _rules(options: TaintOptions, reentrancy: bool = False) -> Tuple[Rule, ...]:
+    return _parsed_rules(
+        options.model_storage_taint, options.conservative_storage, reentrancy
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed_rules(
+    model_storage_taint: bool, conservative_storage: bool, reentrancy: bool
+) -> Tuple[Rule, ...]:
+    """The taint program for one rule-set key, parsed once per process.
+
+    Shared across contracts: rules are never mutated and every
+    :class:`Engine` copies the sequence it is given.
+    """
     text = CORE_RULES
-    if options.model_storage_taint:
+    if model_storage_taint:
         text += WRITE2_RULES
-        if options.conservative_storage:
+        if conservative_storage:
             text += CONSERVATIVE_RULES
     if reentrancy:
         text += REENTRANCY_RULES
-    return parse_program(text).rules
+    return tuple(parse_program(text).rules)
 
 
 def _contract_key(

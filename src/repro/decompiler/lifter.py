@@ -2,8 +2,10 @@
 
 The algorithm (in the style of Gigahorse/Vandal):
 
-1. Split bytecode into *static blocks* at ``JUMPDEST`` boundaries and after
-   control-transfer instructions.
+1. Split bytecode into *static blocks* in one linear pass over the
+   disassembly: a ``JUMPDEST``, or the instruction after any
+   control-altering one, closes the current block and opens the next.  A
+   block falls through to the next one unless it ends in a terminator.
 2. Abstractly interpret the operand stack.  An abstract value is a TAC
    variable that may carry a known constant.  Each static block is *cloned
    per context*, where a context is the tuple of constants visible on the
@@ -24,11 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.evm.disassembler import Instruction, disassemble
+from repro.evm.disassembler import Instruction, iter_code
 from repro.evm.hashing import UINT_MAX
 from repro.ir.tac import TACBlock, TACProgram, TACStatement
-
-TERMINATORS = {"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
 
 # Opcodes we constant-fold during lifting (helps resolve computed jumps in
 # foreign bytecode; our own compiler pushes jump targets directly).
@@ -81,32 +81,19 @@ class _Instance:
 
 
 def _split_blocks(code: bytes) -> Dict[int, _StaticBlock]:
-    instructions = disassemble(code)
-    leaders: Set[int] = {0}
-    for index, ins in enumerate(instructions):
-        if ins.name == "JUMPDEST":
-            leaders.add(ins.offset)
-        if ins.opcode.alters_control_flow and index + 1 < len(instructions):
-            leaders.add(instructions[index + 1].offset)
-
     blocks: Dict[int, _StaticBlock] = {}
-    ordered = sorted(leaders)
-    for position, start in enumerate(ordered):
-        end = ordered[position + 1] if position + 1 < len(ordered) else None
-        body = [
-            ins
-            for ins in instructions
-            if ins.offset >= start and (end is None or ins.offset < end)
-        ]
-        if not body:
+    block: Optional[_StaticBlock] = None
+    for ins in iter_code(code):
+        if block is None:
+            block = blocks[ins.offset] = _StaticBlock(ins.offset, [ins], None)
             continue
-        last = body[-1]
-        falls = not last.opcode.is_terminator
-        blocks[start] = _StaticBlock(
-            offset=start,
-            instructions=body,
-            fallthrough=end if (falls and end is not None) else None,
-        )
+        last = block.instructions[-1].opcode
+        if last.alters_control_flow or ins.opcode.name == "JUMPDEST":
+            if not last.is_terminator:
+                block.fallthrough = ins.offset
+            block = blocks[ins.offset] = _StaticBlock(ins.offset, [ins], None)
+        else:
+            block.instructions.append(ins)
     return blocks
 
 
@@ -222,22 +209,25 @@ class _Lifter:
 
     def _execute(self, instance: _Instance) -> None:
         block = self.static_blocks[instance.offset]
+        ident = instance.ident
         stack: List[_AbstractValue] = list(instance.entry_stack)
         emit = instance.statements.append
+        const_value = self.const_value
+        fresh_var = self._fresh_var
         seq = 0
 
         # Materialize constants for constant entry positions.
         for av in instance.entry_stack:
             if av.const is not None:
-                self.const_value[av.var] = av.const
+                const_value[av.var] = av.const
                 emit(
                     TACStatement(
-                        ident="%s_entry%d" % (instance.ident, seq),
+                        ident="%s_entry%d" % (ident, seq),
                         opcode="CONST",
                         defs=[av.var],
                         uses=[],
                         pc=instance.offset,
-                        block=instance.ident,
+                        block=ident,
                     )
                 )
                 seq += 1
@@ -247,120 +237,85 @@ class _Lifter:
                 return stack.pop()
             # Stack underflow relative to the entry: synthesize an unknown
             # (happens only for malformed code or collapsed contexts).
-            return _AbstractValue(var=self._fresh_var("u"))
+            return _AbstractValue(var=fresh_var("u"))
 
-        def stmt_id() -> str:
-            nonlocal seq
-            seq += 1
-            return "%s_%d" % (instance.ident, seq)
+        def pad(depth: int) -> None:
+            while len(stack) < depth:
+                stack.insert(0, _AbstractValue(var=fresh_var("u")))
 
         for ins in block.instructions:
-            name = ins.name
-            if ins.opcode.is_push:
-                var = self._fresh_var()
+            opcode = ins.opcode
+            if opcode.is_push:
+                var = fresh_var()
                 value = ins.operand or 0
-                self.const_value[var] = value
+                const_value[var] = value
+                seq += 1
                 emit(
                     TACStatement(
-                        ident=stmt_id(),
+                        ident="%s_%d" % (ident, seq),
                         opcode="CONST",
                         defs=[var],
+                        uses=[],
                         pc=ins.offset,
-                        block=instance.ident,
+                        block=ident,
                     )
                 )
                 stack.append(_AbstractValue(var=var, const=value))
                 continue
-            if ins.opcode.is_dup:
-                n = ins.opcode.value - 0x80 + 1
-                while len(stack) < n:
-                    stack.insert(0, _AbstractValue(var=self._fresh_var("u")))
+            if opcode.is_dup:
+                n = opcode.value - 0x80 + 1
+                pad(n)
                 stack.append(stack[-n])
                 continue
-            if ins.opcode.is_swap:
-                n = ins.opcode.value - 0x90 + 1
-                while len(stack) < n + 1:
-                    stack.insert(0, _AbstractValue(var=self._fresh_var("u")))
+            if opcode.is_swap:
+                n = opcode.value - 0x90 + 1
+                pad(n + 1)
                 stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
                 continue
+            name = opcode.name
             if name == "POP":
                 pop()
                 continue
             if name == "JUMPDEST":
                 continue
-            if name == "JUMP":
-                target = pop()
-                statement = TACStatement(
-                    ident=stmt_id(),
-                    opcode="JUMP",
-                    uses=[target.var],
-                    pc=ins.offset,
-                    block=instance.ident,
-                )
-                emit(statement)
-                if target.const is not None:
-                    self._connect(instance, list(stack), target.const, "taken")
-                else:
-                    self.unresolved.append(statement.ident)
-                return
-            if name == "JUMPI":
-                target = pop()
-                condition = pop()
-                statement = TACStatement(
-                    ident=stmt_id(),
-                    opcode="JUMPI",
-                    uses=[target.var, condition.var],
-                    pc=ins.offset,
-                    block=instance.ident,
-                )
-                emit(statement)
+
+            # Everything else emits one statement over its popped operands.
+            operands = [pop() for _ in range(opcode.pops)]
+            seq += 1
+            statement = TACStatement(
+                ident="%s_%d" % (ident, seq),
+                opcode=name,
+                defs=[],
+                uses=[op.var for op in operands],
+                pc=ins.offset,
+                block=ident,
+            )
+            if opcode.pushes:
+                const = None
+                fold = _FOLDABLE.get(name)
+                if fold is not None:
+                    left, right = operands
+                    if left.const is not None and right.const is not None:
+                        const = fold(left.const, right.const)
+                var = fresh_var()
+                if const is not None:
+                    const_value[var] = const
+                statement.defs.append(var)
+                stack.append(_AbstractValue(var=var, const=const))
+            emit(statement)
+            if not opcode.alters_control_flow:
+                continue
+            # A jump connects its successors; a terminator just ends here.
+            if name in ("JUMP", "JUMPI"):
+                target = operands[0]
                 out = list(stack)
                 if target.const is not None:
                     self._connect(instance, out, target.const, "taken")
                 else:
                     self.unresolved.append(statement.ident)
-                if block.fallthrough is not None:
+                if name == "JUMPI" and block.fallthrough is not None:
                     self._connect(instance, out, block.fallthrough, "fallthrough")
-                return
-            if name in TERMINATORS:
-                uses = [pop().var for _ in range(ins.opcode.pops)]
-                emit(
-                    TACStatement(
-                        ident=stmt_id(),
-                        opcode=name,
-                        uses=uses,
-                        pc=ins.offset,
-                        block=instance.ident,
-                    )
-                )
-                return
-
-            # Generic operation.
-            operands = [pop() for _ in range(ins.opcode.pops)]
-            defs: List[str] = []
-            result: Optional[_AbstractValue] = None
-            if ins.opcode.pushes:
-                const = None
-                fold = _FOLDABLE.get(name)
-                if fold is not None and all(op.const is not None for op in operands[:2]) and len(operands) == 2:
-                    const = fold(operands[0].const, operands[1].const)
-                var = self._fresh_var()
-                if const is not None:
-                    self.const_value[var] = const
-                result = _AbstractValue(var=var, const=const)
-                defs = [var]
-            emit(
-                TACStatement(
-                    ident=stmt_id(),
-                    opcode=name,
-                    defs=defs,
-                    uses=[op.var for op in operands],
-                    pc=ins.offset,
-                    block=instance.ident,
-                )
-            )
-            if result is not None:
-                stack.append(result)
+            return
 
         # Fell off the end of the block.
         if block.fallthrough is not None:

@@ -43,22 +43,7 @@ class Instruction:
 
 def disassemble(code: bytes) -> List[Instruction]:
     """Disassemble ``code`` into instructions by linear sweep."""
-    instructions: List[Instruction] = []
-    offset = 0
-    length = len(code)
-    while offset < length:
-        opcode = opcode_by_value(code[offset])
-        operand: Optional[int] = None
-        if opcode.immediate_size:
-            raw = code[offset + 1 : offset + 1 + opcode.immediate_size]
-            # A PUSH whose immediate is truncated by end-of-code reads zeros,
-            # matching EVM semantics.
-            operand = int.from_bytes(
-                raw.ljust(opcode.immediate_size, b"\x00"), "big"
-            )
-        instructions.append(Instruction(offset=offset, opcode=opcode, operand=operand))
-        offset += 1 + opcode.immediate_size
-    return instructions
+    return list(iter_code(code))
 
 
 def instruction_map(code: bytes) -> Dict[int, Instruction]:
@@ -77,14 +62,17 @@ def format_disassembly(code: bytes) -> str:
 
 
 def iter_code(code: bytes) -> Iterator[Instruction]:
-    """Iterate instructions lazily (same sweep as :func:`disassemble`)."""
+    """Iterate instructions lazily: the linear sweep behind :func:`disassemble`."""
     offset = 0
     length = len(code)
     while offset < length:
         opcode = opcode_by_value(code[offset])
-        operand: Optional[int] = None
-        if opcode.immediate_size:
-            raw = code[offset + 1 : offset + 1 + opcode.immediate_size]
-            operand = int.from_bytes(raw.ljust(opcode.immediate_size, b"\x00"), "big")
-        yield Instruction(offset=offset, opcode=opcode, operand=operand)
-        offset += 1 + opcode.immediate_size
+        size = opcode.immediate_size
+        if size:
+            # A PUSH whose immediate is truncated by end-of-code reads zeros,
+            # matching EVM semantics.
+            raw = code[offset + 1 : offset + 1 + size].ljust(size, b"\x00")
+            yield Instruction(offset, opcode, int.from_bytes(raw, "big"))
+        else:
+            yield Instruction(offset, opcode)
+        offset += 1 + size

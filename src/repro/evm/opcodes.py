@@ -9,13 +9,21 @@ for relative measurements; the simulator is not intended for consensus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
+
+_TERMINATORS = frozenset(
+    ("STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT", "JUMP")
+)
 
 
 @dataclass(frozen=True)
 class Opcode:
-    """Static description of one EVM opcode."""
+    """Static description of one EVM opcode.
+
+    The classification flags are derived from ``value`` and ``name`` once,
+    when the record is built, so hot loops read plain attributes.
+    """
 
     value: int
     name: str
@@ -23,27 +31,23 @@ class Opcode:
     pushes: int
     immediate_size: int = 0
     gas: int = 3
+    is_push: bool = field(init=False, repr=False, compare=False)
+    is_dup: bool = field(init=False, repr=False, compare=False)
+    is_swap: bool = field(init=False, repr=False, compare=False)
+    # True if control never falls through to the next instruction.
+    is_terminator: bool = field(init=False, repr=False, compare=False)
+    alters_control_flow: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_push(self) -> bool:
-        return 0x60 <= self.value <= 0x7F
-
-    @property
-    def is_dup(self) -> bool:
-        return 0x80 <= self.value <= 0x8F
-
-    @property
-    def is_swap(self) -> bool:
-        return 0x90 <= self.value <= 0x9F
-
-    @property
-    def is_terminator(self) -> bool:
-        """True if control never falls through to the next instruction."""
-        return self.name in ("STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT", "JUMP")
-
-    @property
-    def alters_control_flow(self) -> bool:
-        return self.name in ("JUMP", "JUMPI") or self.is_terminator
+    def __post_init__(self) -> None:
+        terminator = self.name in _TERMINATORS
+        for flag, value in (
+            ("is_push", 0x60 <= self.value <= 0x7F),
+            ("is_dup", 0x80 <= self.value <= 0x8F),
+            ("is_swap", 0x90 <= self.value <= 0x9F),
+            ("is_terminator", terminator),
+            ("alters_control_flow", terminator or self.name == "JUMPI"),
+        ):
+            object.__setattr__(self, flag, value)
 
 
 def _op(value: int, name: str, pops: int, pushes: int, gas: int = 3, imm: int = 0) -> Opcode:
@@ -153,6 +157,14 @@ OPCODES: Dict[int, Opcode] = {op.value: op for op in _TABLE}
 _BY_NAME: Dict[str, Opcode] = {op.name: op for op in _TABLE}
 
 
+# Every byte value, unknown ones included, resolves to one shared record.
+_BY_VALUE: Dict[int, Opcode] = {
+    value: OPCODES.get(value)
+    or Opcode(value=value, name="UNKNOWN_0x%02X" % value, pops=0, pushes=0, gas=0)
+    for value in range(256)
+}
+
+
 def opcode_by_value(value: int) -> Opcode:
     """Look up an opcode by byte value.
 
@@ -160,10 +172,7 @@ def opcode_by_value(value: int) -> Opcode:
     disassembler never fails on arbitrary byte strings (real blockchain data
     contains plenty of non-code bytes).
     """
-    try:
-        return OPCODES[value]
-    except KeyError:
-        return Opcode(value=value, name="UNKNOWN_0x%02X" % value, pops=0, pushes=0, gas=0)
+    return _BY_VALUE[value]
 
 
 def opcode_by_name(name: str) -> Opcode:

@@ -118,12 +118,13 @@ class ServingBackend:
                 )
             self.stats.analyzed += 1
             future = self.pool.submit(runtime, config)
-            if self.dedup:
-                self._inflight[identity] = future
-                future.add_done_callback(
-                    lambda f, key=identity: self._resolved(key, f)
-                )
-            return future
+            if not self.dedup:
+                return future
+            self._inflight[identity] = future
+        # Registered outside the lock: a future the pool has already
+        # resolved runs ``_resolved`` on this thread, which takes the lock.
+        future.add_done_callback(lambda f, key=identity: self._resolved(key, f))
+        return future
 
     @property
     def open_requests(self) -> int:

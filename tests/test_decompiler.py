@@ -1,10 +1,16 @@
 """Decompiler: CFG recovery, jump resolution, TAC generation, selectors."""
 
-import pytest
+import functools
 
-from repro.decompiler import LiftError, find_public_functions, lift
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.corpus import REENTRANCY_TEMPLATES, TEMPLATES, generate_corpus
+from repro.decompiler import LiftError, find_public_functions, lift, lifter
 from repro.decompiler.functions import blocks_reachable_from, function_of_block
 from repro.evm.assembler import assemble, parse_asm
+from repro.evm.disassembler import disassemble
 from repro.evm.hashing import function_selector
 from repro.minisol import compile_source
 
@@ -253,3 +259,165 @@ contract C {
     def test_junk_bytecode_does_not_crash(self):
         program = lift(bytes(range(256)))
         assert isinstance(program.blocks, dict)
+
+
+# ------------------------------------------------------- static block split
+
+_ORACLE_TERMINATORS = {"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT", "JUMP"}
+
+
+def _oracle_split_blocks(code):
+    """Static blocks by their leader-set definition (quadratic on purpose).
+
+    Leaders are offset 0, every ``JUMPDEST``, and every instruction after a
+    control-altering one; a block runs up to the next leader and falls
+    through to it unless its last instruction is a terminator.
+    """
+    instructions = disassemble(code)
+    leaders = {0}
+    for index, ins in enumerate(instructions):
+        if ins.name == "JUMPDEST":
+            leaders.add(ins.offset)
+        alters = ins.name in _ORACLE_TERMINATORS or ins.name == "JUMPI"
+        if alters and index + 1 < len(instructions):
+            leaders.add(instructions[index + 1].offset)
+    blocks = {}
+    ordered = sorted(leaders)
+    for position, start in enumerate(ordered):
+        end = ordered[position + 1] if position + 1 < len(ordered) else None
+        body = [
+            ins
+            for ins in instructions
+            if ins.offset >= start and (end is None or ins.offset < end)
+        ]
+        if not body:
+            continue
+        falls = body[-1].name not in _ORACLE_TERMINATORS
+        blocks[start] = lifter._StaticBlock(
+            offset=start,
+            instructions=body,
+            fallthrough=end if (falls and end is not None) else None,
+        )
+    return blocks
+
+
+def assert_split_matches_oracle(code):
+    blocks = lifter._split_blocks(code)
+    expected = _oracle_split_blocks(code)
+    assert list(blocks) == list(expected)
+    assert blocks == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_runtimes():
+    """Four contracts of every corpus template, the reentrancy set included."""
+    names = sorted(TEMPLATES) + sorted(REENTRANCY_TEMPLATES)
+    return tuple(
+        contract.runtime
+        for name in names
+        for contract in generate_corpus(4, seed=2020, templates=[name])
+    )
+
+
+_LARGE_SECTION = """
+    uint256 tally%(i)d;
+    mapping(address => uint256) stake%(i)d;
+    function vote%(i)d(uint256 weight) public {
+        require(weight > 0);
+        if (weight > %(cap)d) { weight = %(cap)d; }
+        tally%(i)d += weight;
+    }
+    function deposit%(i)d(uint256 amount) public {
+        require(msg.sender == owner);
+        stake%(i)d[msg.sender] += amount;
+    }
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _large_runtime():
+    """A contract of 285 public functions just under the EIP-170 size cap."""
+    body = "".join(_LARGE_SECTION % {"i": i, "cap": 100 + i} for i in range(142))
+    source = """
+contract Large {
+    address owner;
+    constructor() { owner = msg.sender; }
+    function shutdown() public { require(msg.sender == owner); selfdestruct(owner); }%s}
+""" % body
+    runtime = compile_source(source).runtime
+    assert 24_000 < len(runtime) <= 24_576
+    return runtime
+
+
+class TestStaticBlockSplit:
+    """``_split_blocks`` (one linear pass) against the leader-set oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(code=st.binary(max_size=300))
+    def test_arbitrary_bytes(self, code):
+        assert_split_matches_oracle(code)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        prefix=st.binary(max_size=64),
+        width=st.integers(min_value=1, max_value=32),
+        kept=st.integers(min_value=0, max_value=31),
+    )
+    def test_truncated_push_immediate(self, prefix, width, kept):
+        # The immediate's JUMPDEST bytes are data, never block leaders.
+        code = prefix + bytes([0x5F + width]) + b"\x5b" * min(kept, width - 1)
+        assert_split_matches_oracle(code)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        index=st.integers(min_value=0),
+        edits=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    def test_mutated_corpus_bytecode(self, index, edits):
+        runtimes = _corpus_runtimes()
+        code = bytearray(runtimes[index % len(runtimes)])
+        for position, value in edits:
+            code[position % len(code)] = value
+        assert_split_matches_oracle(bytes(code))
+
+    def test_empty_code_has_no_blocks(self):
+        assert lifter._split_blocks(b"") == {}
+
+
+def _lift_with_oracle_split(code, monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(lifter, "_split_blocks", _oracle_split_blocks)
+        return lift(code)
+
+
+def assert_same_tac(program, expected):
+    """Field by field and in order, one block at a time, so a mismatch in a
+    large program reports the block that differs."""
+    assert list(program.blocks) == list(expected.blocks)
+    for ident, block in program.blocks.items():
+        assert repr(block) == repr(expected.blocks[ident])
+    assert program.entry == expected.entry
+    assert list(program.const_value.items()) == list(expected.const_value.items())
+    assert program.selector_targets == expected.selector_targets
+    assert program.unresolved_jumps == expected.unresolved_jumps
+
+
+class TestLiftUnchangedBySplit:
+    """The lifted TAC (idents, variable numbering, PHI inputs, successor
+    order, unresolved jumps) is the same under either block split."""
+
+    def test_every_corpus_contract(self, monkeypatch):
+        for runtime in _corpus_runtimes():
+            assert_same_tac(
+                lift(runtime), _lift_with_oracle_split(runtime, monkeypatch)
+            )
+
+    def test_large_contract_near_the_size_cap(self, monkeypatch):
+        runtime = _large_runtime()
+        program = lift(runtime)
+        assert program.unresolved_jumps == []
+        assert_same_tac(program, _lift_with_oracle_split(runtime, monkeypatch))

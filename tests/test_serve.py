@@ -488,3 +488,41 @@ class TestPersistentPool:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(bytecodes[0])
+
+
+class TestBackendSubmit:
+    def test_already_resolved_future_does_not_deadlock(self):
+        """A pool that resolves before ``submit`` registers its callback
+        runs the callback on the submitting thread; it must not block on
+        the backend's own lock."""
+        from concurrent.futures import Future
+
+        from repro.core.batch import BatchEntry
+        from repro.serve.backend import ServingBackend
+
+        row = (BatchEntry(0, (), None, 0.0, 1),)
+
+        class ResolvedPool:
+            outstanding = 0
+
+            def submit(self, runtime, config):
+                future = Future()
+                future.set_result(row)
+                return future
+
+        backend = ServingBackend(ResolvedPool())
+        results = []
+
+        def submit():
+            results.append(backend.submit(b"\x00", api.AnalysisConfig(), "id-0"))
+
+        thread = threading.Thread(target=submit, daemon=True)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive(), "submit deadlocked on its own lock"
+        assert results[0].result(timeout=0) == row
+        assert backend.inflight_identities == 0
+        duplicate = backend.submit(b"\x00", api.AnalysisConfig(), "id-0")
+        assert duplicate.result(timeout=0) == row
+        assert backend.stats.analyzed == 1
+        assert backend.stats.report_cache_hits == 1
