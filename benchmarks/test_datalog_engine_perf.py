@@ -9,7 +9,9 @@ enough rows to amortize) the columnar executor must be at least 1.5x
 faster than the compiled engine — all while producing byte-identical
 fixpoints, and on the bytecode corpus byte-identical warnings per
 contract.  An incremental scenario additionally measures DRed repair
-(append facts to an evaluated database) against a cold re-evaluation.
+(append facts to an evaluated database) against a cold re-evaluation, and
+a plan-cache gate bounds how often the planner compiles over a corpus
+sweep (the program is compiled once, each plan once per size ordering).
 Results are also written to ``BENCH_datalog.json`` (path overridable via
 the ``BENCH_DATALOG_JSON`` env var) so CI tracks the perf trajectory from
 artifact to artifact.
@@ -59,6 +61,11 @@ MIN_REPAIR_SPEEDUP = 5.0
 ABSTRACT_PROGRAMS = 12
 ABSTRACT_SIZE = (300, 900)
 BYTECODE_CONTRACTS = 60
+# Plan-cache gate: planner compiles over a 200-contract datalog sweep from
+# a cold cache.  ~27k compile_variant calls before plans were cached (two
+# full compiles per contract); ~260 with the rank-keyed cache.
+PLAN_CACHE_CONTRACTS = 200
+MAX_PLAN_COMPILES = 500
 
 _RESULTS: Dict[str, Dict] = {}
 
@@ -432,4 +439,41 @@ class TestColumnarEnginePerf:
         assert warm_speedup >= MIN_REPAIR_SPEEDUP, (
             "warm DRed repair only %.2fx faster than a cold fixpoint"
             % warm_speedup
+        )
+
+
+# ------------------------------------------------------------ plan cache
+
+
+class TestPlanCache:
+    def test_compiles_stay_bounded_over_a_corpus_sweep(self):
+        """Blocking CI gate: plans are compiled once per rule and size
+        ordering, not once per contract."""
+        from repro import api
+        from repro.datalog import planner
+
+        planner.cache_clear()
+        before = planner.cache_info()
+        config = api.AnalysisConfig(engine="datalog")
+        for contract in generate_corpus(PLAN_CACHE_CONTRACTS, seed=2020):
+            api.analyze(contract.runtime, config)
+        after = planner.cache_info()
+        compiles = after["compiles"] - before["compiles"]
+        hits = after["plan_hits"] - before["plan_hits"]
+        _RESULTS["plan_cache"] = {
+            "contracts": PLAN_CACHE_CONTRACTS,
+            "compiles": compiles,
+            "max_compiles": MAX_PLAN_COMPILES,
+            "plan_hits": hits,
+            "programs": after["programs"],
+        }
+        print_table(
+            "Datalog plan cache: %d contracts, engine=datalog"
+            % PLAN_CACHE_CONTRACTS,
+            ["compiles", "plan hits", "programs", "bound"],
+            [[compiles, hits, after["programs"], MAX_PLAN_COMPILES]],
+        )
+        assert compiles <= MAX_PLAN_COMPILES, (
+            "%d planner compiles over %d contracts (bound %d)"
+            % (compiles, PLAN_CACHE_CONTRACTS, MAX_PLAN_COMPILES)
         )

@@ -11,7 +11,8 @@ both crafted and randomly generated programs.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+import functools
+from typing import Dict, Set, Tuple
 
 from repro.core.abstract_analysis import AbstractResult, analyze_abstract
 from repro.core.lang import (
@@ -27,7 +28,7 @@ from repro.core.lang import (
     SStore,
     Sink,
 )
-from repro.datalog import Database, Engine, parse_program
+from repro.datalog import Database, Engine, Rule, parse_program
 
 # The rule text mirrors Figures 3 and 4; relation names follow Figure 2.
 ETHAINTER_RULES = r"""
@@ -158,6 +159,12 @@ def facts_from_program(program: AbstractProgram) -> Database:
     return database
 
 
+@functools.lru_cache(maxsize=None)
+def _ethainter_rules() -> Tuple[Rule, ...]:
+    """``ETHAINTER_RULES``, parsed once per process (a shared tuple)."""
+    return tuple(parse_program(ETHAINTER_RULES).rules)
+
+
 def analyze_with_datalog(
     program: AbstractProgram, use_plans: bool = True
 ) -> AbstractResult:
@@ -165,8 +172,7 @@ def analyze_with_datalog(
     in the same :class:`AbstractResult` shape as the direct fixpoint.
     ``use_plans=False`` runs the legacy interpreter (benchmark baseline)."""
     database = facts_from_program(program)
-    rules = parse_program(ETHAINTER_RULES).rules
-    engine = Engine(rules, use_plans=use_plans)
+    engine = Engine(_ethainter_rules(), use_plans=use_plans)
     engine.evaluate(database)
 
     result = AbstractResult()

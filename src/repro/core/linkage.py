@@ -55,6 +55,7 @@ byte-identical to ``repro analyze`` on the same contract.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -76,7 +77,7 @@ from repro.core.vulnerabilities import (
     CROSS_CONTRACT_ESCALATION,
     PROXY_UPGRADE_HIJACK,
 )
-from repro.datalog import Engine, parse_program
+from repro.datalog import Engine, Rule, parse_program
 
 ADDRESS_MASK = (1 << 160) - 1
 
@@ -529,17 +530,29 @@ def _linkage_relations(
     return {rel: rows for rel, rows in relations.items() if rows}
 
 
-def merged_rules(config: AnalysisConfig, reentrancy: bool = False):
-    """Per-contract rules plus the cross-contract strata, parsed."""
+def merged_rules(
+    config: AnalysisConfig, reentrancy: bool = False
+) -> Tuple[Rule, ...]:
+    """Per-contract rules plus the cross-contract strata, parsed once per
+    process and rule-set key (a shared tuple: callers cannot mutate it)."""
+    return _merged_rules(
+        config.model_storage_taint, config.conservative_storage, reentrancy
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _merged_rules(
+    model_storage_taint: bool, conservative_storage: bool, reentrancy: bool
+) -> Tuple[Rule, ...]:
     text = CORE_RULES
-    if config.model_storage_taint:
+    if model_storage_taint:
         text += WRITE2_RULES
-        if config.conservative_storage:
+        if conservative_storage:
             text += CONSERVATIVE_RULES
     if reentrancy:
         text += REENTRANCY_RULES
     text += CROSS_CONTRACT_RULES
-    return parse_program(text).rules
+    return tuple(parse_program(text).rules)
 
 
 # ------------------------------------------------------------------ results

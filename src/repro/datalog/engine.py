@@ -6,14 +6,16 @@ Evaluation pipeline:
    components of the rule dependency graph; a negative edge inside an SCC is
    a :class:`StratificationError` (the program is not stratifiable).  SCCs
    are evaluated in topological order, so a negated relation is always fully
-   computed before it is read.
+   computed before it is read.  Done once per program and cached (see
+   :func:`~repro.datalog.planner.compile_program`).
 2. **Query planning** — each rule is compiled (see
-   :mod:`repro.datalog.planner`) into a static join plan: body literals
+   :mod:`repro.datalog.planner`) into immutable join plans: body literals
    reordered by a sideways-information-passing heuristic, per-literal index
    signatures precomputed, and one delta-specialized variant per recursive
-   body position.  Plans are bound to the database once per evaluation
-   (constants interned, indexes registered eagerly) and executed by a flat,
-   non-recursive interpreter.
+   body position.  Plans are cached per process on (rule, delta position,
+   size ranks); each evaluation binds them to its database (constants
+   interned, indexes registered eagerly) in bound objects the engine owns,
+   and executes the bound plans with a flat, non-recursive interpreter.
 3. **Semi-naive iteration** — within a recursive SCC, each round runs the
    delta variants whose delta relation gained facts in the previous round,
    probing per-round delta indexes so both sides of a recursive join are
@@ -35,12 +37,13 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.planner import (
     EngineStats,
-    FilterGuard,
+    JoinStep,
     NegGuard,
     PlanningError,
     PlanVariant,
     RulePlan,
-    compile_strata,
+    StratificationError,  # noqa: F401 - re-exported by repro.datalog
+    compile_program,
 )
 from repro.datalog.terms import (
     Atom,
@@ -52,121 +55,6 @@ from repro.datalog.terms import (
     match,
     substitute,
 )
-
-
-class StratificationError(Exception):
-    """The program uses negation through recursion."""
-
-
-# ------------------------------------------------------------ SCC machinery
-#
-# Shared between the engine's stratifier and the program linter's
-# stratification preview (:mod:`repro.datalog.lint`).
-
-
-def rule_dependency_graph(
-    rules: Sequence[Rule],
-) -> Tuple[Set[str], List[Tuple[str, str, bool]]]:
-    """The relation dependency graph of ``rules``.
-
-    Returns ``(relations, edges)`` where each edge is
-    ``(body relation, head relation, negated)``.
-    """
-    relations: Set[str] = set()
-    edges: List[Tuple[str, str, bool]] = []
-    for rule in rules:
-        relations.add(rule.head.relation)
-        for item in rule.body:
-            if isinstance(item, Literal):
-                relations.add(item.atom.relation)
-                edges.append((item.atom.relation, rule.head.relation, item.negated))
-    return relations, edges
-
-
-def strongly_connected_components(
-    relations: Iterable[str], successors: Dict[str, Set[str]]
-) -> Tuple[List[List[str]], Dict[str, int]]:
-    """Tarjan SCC (iterative).  Returns ``(components, component_of)``;
-    components are emitted in reverse topological order."""
-    index_counter = [0]
-    stack: List[str] = []
-    lowlink: Dict[str, int] = {}
-    index: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    component_of: Dict[str, int] = {}
-    components: List[List[str]] = []
-
-    def strongconnect(node: str) -> None:
-        worklist = [(node, iter(successors.get(node, ())))]
-        index[node] = lowlink[node] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        while worklist:
-            current, successor_iter = worklist[-1]
-            advanced = False
-            for successor in successor_iter:
-                if successor not in index:
-                    index[successor] = lowlink[successor] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    worklist.append((successor, iter(successors.get(successor, ()))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[current] = min(lowlink[current], index[successor])
-            if advanced:
-                continue
-            worklist.pop()
-            if worklist:
-                parent = worklist[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[current])
-            if lowlink[current] == index[current]:
-                component: List[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component_of[member] = len(components)
-                    component.append(member)
-                    if member == current:
-                        break
-                components.append(component)
-
-    for rel in relations:
-        if rel not in index:
-            strongconnect(rel)
-    return components, component_of
-
-
-def condensation_levels(
-    components: List[List[str]],
-    component_of: Dict[str, int],
-    edges: List[Tuple[str, str, bool]],
-) -> Dict[int, int]:
-    """Stratum level per component: Kahn-style longest path over the SCC
-    condensation of ``edges``."""
-    condensed: Dict[int, Set[int]] = {i: set() for i in range(len(components))}
-    for source, target, _ in edges:
-        s, t = component_of[source], component_of[target]
-        if s != t:
-            condensed[s].add(t)
-    indegree: Dict[int, int] = {i: 0 for i in range(len(components))}
-    for source_component, targets in condensed.items():
-        for target_component in targets:
-            indegree[target_component] += 1
-    queue = [c for c, d in indegree.items() if d == 0]
-    level: Dict[int, int] = {c: 0 for c in queue}
-    while queue:
-        current = queue.pop()
-        for target_component in condensed[current]:
-            level[target_component] = max(
-                level.get(target_component, 0), level[current] + 1
-            )
-            indegree[target_component] -= 1
-            if indegree[target_component] == 0:
-                queue.append(target_component)
-    return level
 
 
 # ------------------------------------------------------------ columnar store
@@ -522,15 +410,124 @@ class Database:
         return view
 
 
+class _BoundStep:
+    """A compiled :class:`~repro.datalog.planner.JoinStep` bound to one
+    database: its structure plus the interned key (``key_spec``, and
+    ``static_key`` when every key value is a constant) and the live
+    index / relation / column references the executors read."""
+
+    __slots__ = (
+        "relation",
+        "delta",
+        "positions",
+        "key_spec",
+        "static_key",
+        "outs",
+        "checks",
+        "check_pairs",
+        "guards",
+        "orig_index",
+        "arity",
+        "live_after",
+        "rel_set",
+        "index",
+        "columnar",
+        "postings",
+    )
+
+    def __init__(
+        self,
+        step: JoinStep,
+        key_spec,
+        static_key: Optional[Tuple],
+        guards: Tuple[Any, ...],
+        rel_set: Optional[Set[Tuple]],
+        index: Optional[Dict[Tuple, List[Tuple]]],
+        columnar: Optional[ColumnarRelation],
+        postings: Optional[Tuple[Dict[int, Any], ...]],
+    ) -> None:
+        self.relation = step.relation
+        self.delta = step.delta
+        self.positions = step.positions
+        self.key_spec = key_spec
+        self.static_key = static_key
+        self.outs = step.outs
+        self.checks = step.checks
+        self.check_pairs = step.check_pairs
+        self.guards = guards
+        self.orig_index = step.orig_index
+        self.arity = step.arity
+        self.live_after = step.live_after
+        self.rel_set = rel_set
+        self.index = index
+        self.columnar = columnar
+        self.postings = postings
+
+
+class _BoundNeg:
+    """A compiled negation guard bound to one database: interned probe
+    spec plus the live fact set it probes."""
+
+    __slots__ = ("relation", "key_spec", "rel_set")
+
+    def __init__(self, relation: str, key_spec, rel_set: Set[Tuple]) -> None:
+        self.relation = relation
+        self.key_spec = key_spec
+        self.rel_set = rel_set
+
+
+class _BoundVariant:
+    """A compiled plan variant bound to one database."""
+
+    __slots__ = (
+        "key",
+        "delta_relation",
+        "prelude",
+        "steps",
+        "head_spec",
+        "static_head",
+        "n_slots",
+    )
+
+    def __init__(
+        self, variant: PlanVariant, prelude, steps, head_spec, static_head
+    ) -> None:
+        self.key = variant.key
+        self.delta_relation = variant.delta_relation
+        self.prelude = prelude
+        self.steps = steps
+        self.head_spec = head_spec
+        self.static_head = static_head
+        self.n_slots = variant.n_slots
+
+
+class _BoundPlan:
+    """A compiled rule plan bound to one database: the seed variant and
+    the delta variants (in body order), ready for the executors."""
+
+    __slots__ = ("rule", "key", "seed", "deltas")
+
+    def __init__(self, plan: RulePlan, variants: List[_BoundVariant]) -> None:
+        self.rule = plan.rule
+        self.key = plan.key
+        self.seed = variants[0]
+        self.deltas = tuple(variants[1:])
+
+
 class Engine:
     """Evaluates a rule set over a database to fixpoint.
 
-    Rules are compiled into join plans at construction and re-planned
-    against actual relation sizes at each :meth:`evaluate` (see
-    :mod:`repro.datalog.planner`); ``use_plans=False`` selects the legacy
-    closure-recursion interpreter, kept as the equivalence and benchmark
-    baseline.  ``stats`` accumulates :class:`EngineStats` counters across
-    evaluations on either path.
+    Construction looks the program up in the planner's per-process cache
+    (:func:`~repro.datalog.planner.compile_program`): stratification,
+    relation roles and the static plans are computed once per distinct
+    rule set, so building an engine per contract costs a lookup.  Each
+    :meth:`evaluate` fetches the plans for the database's relation-size
+    ordering from the same cache and binds them — interned constants and
+    live index references in bound objects this engine owns — so cached
+    plans are never mutated and any number of engines share them.
+    ``use_plans=False`` selects the legacy closure-recursion interpreter,
+    kept as the equivalence and benchmark baseline.  ``stats`` accumulates
+    :class:`EngineStats` counters across evaluations on either path.
 
     With ``track_provenance=True`` the engine records, for each derived
     fact, the rule and body facts of its *first* derivation; ``explain``
@@ -569,66 +566,30 @@ class Engine:
         self.stats = EngineStats()
         # (relation, fact) -> (rule, [(relation, fact), ...]) of 1st proof.
         self.provenance: Dict[Tuple[str, Tuple], Tuple[Rule, List[Tuple[str, Tuple]]]] = {}
-        self.strata = self._stratify()
+        # Raises StratificationError for negation through recursion.
+        program = compile_program(rules if isinstance(rules, tuple) else self.rules)
+        self.program = program
+        self.strata = program.strata
         # Per-stratum relation roles, used by incremental maintenance to
         # route changes: head relations, positively read relations, and
         # negated relations.
-        self._stratum_heads: List[Set[str]] = []
-        self._stratum_pos: List[Set[str]] = []
-        self._stratum_neg: List[Set[str]] = []
-        for stratum in self.strata:
-            heads: Set[str] = set()
-            reads_pos: Set[str] = set()
-            reads_neg: Set[str] = set()
-            for rule in stratum:
-                heads.add(rule.head.relation)
-                for item in rule.body:
-                    if isinstance(item, Literal):
-                        if item.negated:
-                            reads_neg.add(item.atom.relation)
-                        else:
-                            reads_pos.add(item.atom.relation)
-            self._stratum_heads.append(heads)
-            self._stratum_pos.append(reads_pos)
-            self._stratum_neg.append(reads_neg)
+        self._stratum_heads = program.stratum_heads
+        self._stratum_pos = program.stratum_pos
+        self._stratum_neg = program.stratum_neg
         # Incremental (DRed) state: the database of the last evaluate(),
-        # its EDB snapshot, and lazily compiled all-delta repair plans.
+        # its EDB snapshot, and the lazily fetched all-delta repair plans
+        # (compiled, and bound to that database).
         self._inc_db: Optional[Database] = None
         self._inc_edb: Optional[Dict[str, Set[Tuple[int, ...]]]] = None
-        self._inc_plans: Optional[List[List[RulePlan]]] = None
-        # Static compile (no size estimates) surfaces PlanningErrors —
+        self._inc_plans: Optional[Tuple[Tuple[RulePlan, ...], ...]] = None
+        self._inc_bound: Optional[List[List[_BoundPlan]]] = None
+        # The static plans (no size estimates) surface PlanningErrors —
         # wildcards in negation, unbindable filter variables — at
-        # construction; evaluate() re-plans with live relation sizes.
-        self.plans: List[List[RulePlan]] = (
-            compile_strata(self.strata) if use_plans else []
+        # construction; they are compiled once per program.  evaluate()
+        # fetches the plans for the live relation sizes.
+        self.plans: Tuple[Tuple[RulePlan, ...], ...] = (
+            program.static_plans() if use_plans else ()
         )
-
-    # -------------------------------------------------------- stratification
-
-    def _stratify(self) -> List[List[Rule]]:
-        relations, edges = rule_dependency_graph(self.rules)
-        successors: Dict[str, Set[str]] = {rel: set() for rel in relations}
-        for source, target, _ in edges:
-            successors[source].add(target)
-
-        components, component_of = strongly_connected_components(
-            relations, successors
-        )
-
-        # Negative edge inside one SCC => not stratifiable.
-        for source, target, negated in edges:
-            if negated and component_of[source] == component_of[target]:
-                raise StratificationError(
-                    "negation of %r is recursive with %r" % (source, target)
-                )
-
-        level = condensation_levels(components, component_of, edges)
-        max_level = max(level.values(), default=0)
-        strata: List[List[Rule]] = [[] for _ in range(max_level + 1)]
-        for rule in self.rules:
-            component = component_of[rule.head.relation]
-            strata[level.get(component, 0)].append(rule)
-        return [stratum for stratum in strata if stratum]
 
     # ------------------------------------------------------------ evaluation
 
@@ -645,124 +606,144 @@ class Engine:
         iteration so runaway recursion respects the caller's cutoff.
         """
         self.stats.evaluations += 1
+        self._inc_plans = None
+        self._inc_bound = None
         if self.use_plans:
             # Snapshot the EDB (everything present before derivation) so
             # apply_changes() can later tell explicit facts from derived
-            # ones; re-plan with live relation sizes so the SIP heuristic
-            # orders joins by actual EDB cardinalities, then bind each
-            # stratum's plans (intern constants, register indexes) just
-            # before it runs so lower-stratum results inform upper-stratum
-            # plans.
+            # ones; plan every stratum against the live EDB sizes so the
+            # SIP heuristic orders joins by actual cardinalities, then
+            # bind each stratum's plans (intern constants, register
+            # indexes) just before it runs.
             self._inc_db = database
             self._inc_edb = {
                 relation: set(facts)
                 for relation, facts in database._relations.items()
                 if facts
             }
-            self._inc_plans = None
-            self.plans = compile_strata(self.strata, size_of=database.count)
+            self.plans = self.program.plans(database.count)
             for stratum_plans in self.plans:
-                self._bind_stratum(database, stratum_plans)
                 self._evaluate_stratum_compiled(
-                    database, stratum_plans, max_iterations, deadline
+                    database,
+                    self._bind_plans(database, stratum_plans),
+                    max_iterations,
+                    deadline,
                 )
         else:
             self._inc_db = None
             self._inc_edb = None
-            self._inc_plans = None
             for stratum in self.strata:
                 self._evaluate_stratum(database, stratum, max_iterations, deadline)
         return database
 
     # ----------------------------------------------------- compiled executor
 
-    def _bind_stratum(self, database: Database, plans: List[RulePlan]) -> None:
-        """Bind every variant of every plan to ``database``: intern plan
-        constants, capture live relation views, and eagerly register the
-        indexes the join steps declared."""
-        for plan in plans:
-            for variant in plan.variants():
-                self._bind_variant(database, variant)
-
-    def _bind_variant(
+    def _bind_plans(
         self,
         database: Database,
-        variant: PlanVariant,
+        plans: Sequence[RulePlan],
         columnar: Optional[bool] = None,
-    ) -> None:
-        # Constant interning is destructive (raw values become ids), so it
-        # runs exactly once per (variant, database); re-binds only refresh
-        # the live index / relation / column references.
-        intern_specs = variant.bound_db is not database
-        variant.bound_db = database
+    ) -> List[_BoundPlan]:
+        """Bind every variant of every plan to ``database``: intern plan
+        constants, capture live relation views, and eagerly register the
+        indexes the join steps declared.  The compiled plans are only
+        read; everything database-specific lands in new bound objects."""
         if columnar is None:
             columnar = self.columnar
+        bind = self._bind_variant
+        return [
+            _BoundPlan(
+                plan,
+                [bind(database, variant, columnar) for variant in plan.variants()],
+            )
+            for plan in plans
+        ]
+
+    def _bind_variant(
+        self, database: Database, variant: PlanVariant, columnar: bool
+    ) -> _BoundVariant:
+        # Constants intern in plan order (prelude, then per step its key
+        # and guards, then the head), so symbol ids — and with them set
+        # iteration order and provenance — do not depend on the cache.
         intern = database.intern_value
-        for guard in variant.prelude:
-            self._bind_guard(database, guard, intern_specs)
+        prelude = tuple(
+            self._bind_guard(database, guard) for guard in variant.prelude
+        )
+        steps: List[_BoundStep] = []
         for step in variant.steps:
-            if intern_specs:
-                step.key_spec = tuple(
+            key_spec = step.key_spec
+            static_key = None
+            if step.const_key:
+                key_spec = tuple(
                     (True, value) if from_slot else (False, intern(value))
-                    for from_slot, value in step.key_spec
+                    for from_slot, value in key_spec
                 )
-                if step.key_spec and all(
-                    not from_slot for from_slot, _ in step.key_spec
-                ):
-                    step.static_key = tuple(
-                        value for _, value in step.key_spec
-                    )
+                if all(not from_slot for from_slot, _ in key_spec):
+                    static_key = tuple(value for _, value in key_spec)
+            rel_set = index = view = postings = None
             if step.delta:
                 pass  # candidates come from the per-round delta sets
             elif columnar:
                 view = database.columnar_view(step.relation, step.arity)
-                step.columnar = view
                 if step.positions:
-                    postings = []
+                    runs = []
                     for position in step.positions:
                         if position not in view.postings:
                             self.stats.index_builds += 1
-                        postings.append(view.register_posting(position))
-                    step.postings = tuple(postings)
+                        runs.append(view.register_posting(position))
+                    postings = tuple(runs)
             elif step.positions:
                 index, built = database.register_index(
                     step.relation, step.positions
                 )
-                step.index = index
                 if built:
                     self.stats.index_builds += 1
             else:
-                step.rel_set = database.relation_view(step.relation)
-            for guard in step.guards:
-                self._bind_guard(database, guard, intern_specs)
-        if intern_specs:
-            variant.head_spec = tuple(
-                (True, value) if from_slot else (False, intern(value))
-                for from_slot, value in variant.head_spec
-            )
-            if all(not from_slot for from_slot, _ in variant.head_spec):
-                variant.static_head = tuple(
-                    value for _, value in variant.head_spec
+                rel_set = database.relation_view(step.relation)
+            guards = step.guards
+            if guards:
+                guards = tuple(
+                    self._bind_guard(database, guard) for guard in guards
                 )
+            steps.append(
+                _BoundStep(
+                    step, key_spec, static_key, guards,
+                    rel_set, index, view, postings,
+                )
+            )
+        head_spec = variant.head_spec
+        static_head = None
+        if variant.const_head:
+            head_spec = tuple(
+                (True, value) if from_slot else (False, intern(value))
+                for from_slot, value in head_spec
+            )
+        if variant.ground_head:
+            static_head = tuple(value for _, value in head_spec)
+        return _BoundVariant(variant, prelude, tuple(steps), head_spec, static_head)
 
-    def _bind_guard(
-        self, database: Database, guard, intern_specs: bool = True
-    ) -> None:
-        if isinstance(guard, NegGuard):
-            if intern_specs:
-                guard.key_spec = tuple(
+    @staticmethod
+    def _bind_guard(database: Database, guard):
+        if guard.__class__ is NegGuard:
+            key_spec = guard.key_spec
+            if guard.const_key:
+                key_spec = tuple(
                     (True, value)
                     if from_slot
                     else (False, database.intern_value(value))
-                    for from_slot, value in guard.key_spec
+                    for from_slot, value in key_spec
                 )
-            guard.rel_set = database.relation_view(guard.relation)
-        # FilterGuard constants stay raw: predicates see original values.
+            return _BoundNeg(
+                guard.relation, key_spec, database.relation_view(guard.relation)
+            )
+        # FilterGuard constants stay raw (predicates see original values),
+        # so a filter runs as compiled.
+        return guard
 
     def _evaluate_stratum_compiled(
         self,
         database: Database,
-        plans: List[RulePlan],
+        plans: List[_BoundPlan],
         max_iterations: int,
         deadline=None,
         runner=None,
@@ -776,7 +757,7 @@ class Engine:
         tracking = self.track_provenance
         heads = {plan.rule.head.relation for plan in plans}
 
-        def flush(plan: RulePlan, matches, delta_out) -> None:
+        def flush(plan: _BoundPlan, matches, delta_out) -> None:
             derived = 0
             relation = plan.rule.head.relation
             for head_fact, support in matches:
@@ -805,7 +786,7 @@ class Engine:
             new_delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
             delta_index_cache: Dict = {}
             for plan in plans:
-                for variant in plan.delta_variants.values():
+                for variant in plan.deltas:
                     if not delta.get(variant.delta_relation):
                         continue
                     flush(
@@ -819,7 +800,7 @@ class Engine:
     def _run_variant(
         self,
         database: Database,
-        variant: PlanVariant,
+        variant: _BoundVariant,
         delta: Optional[Dict[str, Set[Tuple]]],
         delta_index_cache: Optional[Dict],
     ) -> List[Tuple[Tuple, list]]:
@@ -886,7 +867,7 @@ class Engine:
     def _run_variant_columnar(
         self,
         database: Database,
-        variant: PlanVariant,
+        variant: _BoundVariant,
         delta: Optional[Dict[str, Set[Tuple]]],
         delta_index_cache: Optional[Dict],
     ) -> List[Tuple[Tuple, list]]:
@@ -1042,7 +1023,7 @@ class Engine:
             count = matched
             # ---- guards prune whole batch rows
             for guard in step.guards:
-                if guard.__class__ is NegGuard:
+                if guard.__class__ is _BoundNeg:
                     rel_set = guard.rel_set
                     parts = [
                         cols[value] if from_slot else repeat(value, count)
@@ -1210,7 +1191,7 @@ class Engine:
     def _eval_guard(self, database: Database, guard, env: List[Any]) -> bool:
         """Evaluate a bound negation or filter guard against the current
         slot environment."""
-        if guard.__class__ is NegGuard:
+        if guard.__class__ is _BoundNeg:
             probe = tuple(
                 env[value] if from_slot else value
                 for from_slot, value in guard.key_spec
@@ -1386,27 +1367,28 @@ class Engine:
             out.append(ident)
         return tuple(out)
 
-    def _incremental_plans(self, database: Database) -> List[List[RulePlan]]:
+    def _incremental_plans(self, database: Database) -> List[List[_BoundPlan]]:
         """Repair plans: delta variants for *every* positive body position
-        (changes arrive in any relation), bound once to the database with
-        hash indexes — repair always runs the tuple executor, because
-        removals invalidate columnar row ids mid-flight."""
-        plans = self._inc_plans
-        if plans is None:
-            plans = compile_strata(
-                self.strata, size_of=database.count, all_deltas=True
+        (changes arrive in any relation), fetched from the plan cache and
+        bound once to the database with hash indexes — repair always runs
+        the tuple executor, because removals invalidate columnar row ids
+        mid-flight."""
+        bound = self._inc_bound
+        if bound is None:
+            self._inc_plans = self.program.plans(
+                database.count, all_deltas=True
             )
-            for stratum_plans in plans:
-                for plan in stratum_plans:
-                    for variant in plan.variants():
-                        self._bind_variant(database, variant, columnar=False)
-            self._inc_plans = plans
-        return plans
+            bound = [
+                self._bind_plans(database, stratum_plans, columnar=False)
+                for stratum_plans in self._inc_plans
+            ]
+            self._inc_bound = bound
+        return bound
 
     def _dred_stratum(
         self,
         database: Database,
-        plans: List[RulePlan],
+        plans: List[_BoundPlan],
         heads: Set[str],
         reads_pos: Set[str],
         pending_retract: Dict[str, Set[Tuple[int, ...]]],
@@ -1454,7 +1436,7 @@ class Engine:
                 relation = plan.rule.head.relation
                 rel_view = database._relations.get(relation, ())
                 rel_edb = edb.get(relation, ())
-                for variant in plan.delta_variants.values():
+                for variant in plan.deltas:
                     if not round_delta.get(variant.delta_relation):
                         continue
                     for head_fact, _support in self._run_variant(
@@ -1532,7 +1514,7 @@ class Engine:
             new_delta: Dict[str, Set[Tuple[int, ...]]] = {}
             for plan in plans:
                 relation = plan.rule.head.relation
-                for variant in plan.delta_variants.values():
+                for variant in plan.deltas:
                     if not ins_delta.get(variant.delta_relation):
                         continue
                     matches = self._run_variant(
@@ -1579,7 +1561,7 @@ class Engine:
         self,
         database: Database,
         level: int,
-        plans: List[RulePlan],
+        plans: List[_BoundPlan],
         changes_add: Dict[str, Set[Tuple[int, ...]]],
         changes_rem: Dict[str, Set[Tuple[int, ...]]],
         max_iterations: int,
@@ -1607,14 +1589,15 @@ class Engine:
                         )
         runner = self._run_variant
         if self.columnar:
-            # Removals dropped the affected columnar views; re-binding
-            # rebuilds them from the cleared store, so the recompute runs
-            # on the batch executor.  The hash indexes the tuple executor
-            # binds are maintained through removals, so the DRed passes
-            # can keep using these same variants afterwards.
-            for plan in plans:
-                for variant in plan.variants():
-                    self._bind_variant(database, variant, columnar=True)
+            # Removals dropped the affected columnar views; binding the
+            # stratum's plans columnar rebuilds them from the cleared
+            # store, so the recompute runs on the batch executor.  The
+            # tuple-bound repair plans stay as they are: the hash indexes
+            # they captured are maintained through removals, so later
+            # DRed passes keep using them.
+            plans = self._bind_plans(
+                database, self._inc_plans[level], columnar=True
+            )
             runner = self._run_variant_columnar
         self._evaluate_stratum_compiled(
             database, plans, max_iterations, deadline, runner=runner

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.datalog.engine import (
+from repro.datalog.planner import (
     condensation_levels,
     rule_dependency_graph,
     strongly_connected_components,

@@ -196,6 +196,47 @@ class TestWarmEngineCache:
             assert repaired.storage_tainted == cold.storage_tainted
         assert warm.stats()["repairs"] >= 1
 
+    def test_repairs_interleaved_across_contracts_match_cold(self):
+        """Contracts A and B run the same rule set, so their live engines
+        share cached plans (the DRed repair plans included).  Repairs of A
+        and B interleave; every repaired result must equal a cold run —
+        binding B must never re-bind plan state A's engine still uses."""
+        from repro.core.bytecode_datalog import WarmEngineCache, analyze_with_datalog
+        from repro.core.taint import TaintOptions
+        from repro.corpus import generate_corpus
+
+        def relations(result):
+            return (
+                result.input_tainted,
+                result.storage_tainted,
+                result.tainted_slots,
+                result.reachable,
+                result.compromised_guards,
+                result.writable_mappings,
+            )
+
+        default, flipped = TaintOptions(), TaintOptions(model_guards=False)
+        first, second = generate_corpus(2, seed=5, templates=["composite_victim"])
+        warm = WarmEngineCache()
+        analyze_with_datalog(runtime_bytecode=first.runtime, warm=warm)
+        analyze_with_datalog(runtime_bytecode=second.runtime, warm=warm)
+        engine_a, engine_b = [entry[0] for entry in warm._entries.values()]
+        assert engine_a.program is engine_b.program
+        for contract, options in (
+            (first, flipped),
+            (second, flipped),
+            (first, default),
+            (second, default),
+        ):
+            repaired = analyze_with_datalog(
+                runtime_bytecode=contract.runtime, options=options, warm=warm
+            )
+            cold = analyze_with_datalog(
+                runtime_bytecode=contract.runtime, options=options
+            )
+            assert relations(repaired) == relations(cold)
+        assert warm.stats()["repairs"] == 4
+
     def test_eviction_bounds_live_engines(self):
         from repro.core.bytecode_datalog import WarmEngineCache, analyze_with_datalog
 
