@@ -57,8 +57,6 @@ class AnalysisConfig:
     # Which fixpoint engine runs the taint rules: the tuned Python fixpoint
     # (default), the declarative Datalog rules on compiled join plans
     # ("datalog"; paper-faithful, cross-checked equal in the test suite),
-    # the same plans over columnar storage with batch joins
-    # ("datalog-columnar"; byte-identical fixpoints, faster on large EDBs),
     # or the uncompiled Datalog interpreter ("datalog-legacy"; equivalence
     # and benchmark baseline only).  The Datalog paths do not reconstruct
     # per-variable witnesses, so warning detail text is terser.  The valid

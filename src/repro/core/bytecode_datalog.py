@@ -387,7 +387,6 @@ class WarmEngineCache:
         rules,
         track_provenance: bool,
         use_plans: bool,
-        columnar: Optional[bool],
         reentrancy: bool = False,
     ) -> Tuple[Engine, Database]:
         key = (
@@ -396,7 +395,6 @@ class WarmEngineCache:
             options.conservative_storage,
             track_provenance,
             use_plans,
-            bool(columnar),
             reentrancy,  # the ruleset differs when the stratum is active
         )
         entry = self._entries.get(key)
@@ -425,10 +423,7 @@ class WarmEngineCache:
         self.misses += 1
         database = _load_edb(edb)
         engine = Engine(
-            rules,
-            track_provenance=track_provenance,
-            use_plans=use_plans,
-            columnar=columnar,
+            rules, track_provenance=track_provenance, use_plans=use_plans
         )
         engine.evaluate(database, deadline=options.deadline)
         if use_plans:  # DRed repair needs the compiled plans
@@ -446,7 +441,6 @@ def analyze_with_datalog(
     options: Optional[TaintOptions] = None,
     track_provenance: bool = False,
     use_plans: bool = True,
-    columnar: Optional[bool] = None,
     warm: Optional[WarmEngineCache] = None,
     ordering: Optional[CallOrderModel] = None,
 ) -> TaintResult:
@@ -461,8 +455,7 @@ def analyze_with_datalog(
     :class:`~repro.datalog.Engine` is attached as ``result.engine`` so
     callers can render derivation trees for the findings.
     ``use_plans=False`` selects the legacy interpreter (the
-    ``engine="datalog-legacy"`` config value — equivalence baseline only);
-    ``columnar=True`` the batch columnar executor (``datalog-columnar``).
+    ``engine="datalog-legacy"`` config value — equivalence baseline only).
     Passing a :class:`WarmEngineCache` as ``warm`` reuses a live fixpoint
     for repeat analyses of the same contract, repairing it via DRed when
     the extracted EDB changed (e.g. an ablation flag flip).
@@ -492,16 +485,12 @@ def analyze_with_datalog(
             rules,
             track_provenance,
             use_plans,
-            columnar,
             reentrancy=reentrancy,
         )
     else:
         database = _load_edb(edb)
         engine = Engine(
-            rules,
-            track_provenance=track_provenance,
-            use_plans=use_plans,
-            columnar=columnar,
+            rules, track_provenance=track_provenance, use_plans=use_plans
         )
         engine.evaluate(database, deadline=options.deadline)
 

@@ -425,15 +425,14 @@ CrossContractEscalation(s) :- SStoreConst(s, v, x), StorageTaint(x),
                               StaticallyGuardedStatement(s, g), BypassedGuard(g).
 """
 
-# Engine name -> (use_plans, columnar) for the merged fixpoint.  The tuned
-# Python engine has no cross-contract counterpart, so "python" runs the
-# merged rules on the compiled-plan engine; the Datalog names map exactly
-# as repro.core.pipeline._DATALOG_MODES does.
+# Engine name -> use_plans for the merged fixpoint.  The tuned Python
+# engine has no cross-contract counterpart, so "python" runs the merged
+# rules on the compiled-plan engine; the Datalog names map exactly as
+# repro.core.pipeline._DATALOG_MODES does.
 _MERGED_ENGINE_MODES = {
-    "python": (True, False),
-    "datalog": (True, False),
-    "datalog-columnar": (True, True),
-    "datalog-legacy": (False, False),
+    "python": True,
+    "datalog": True,
+    "datalog-legacy": False,
 }
 
 
@@ -739,12 +738,10 @@ def analyze_bundle(
     for relation, rows in _linkage_relations(bundle, results, edges).items():
         merged.setdefault(relation, set()).update(rows)
 
-    use_plans, columnar = _MERGED_ENGINE_MODES.get(config.engine, (True, False))
     database = _load_edb(merged)
     engine = Engine(
         merged_rules(config, reentrancy=reentrancy),
-        use_plans=use_plans,
-        columnar=columnar,
+        use_plans=_MERGED_ENGINE_MODES.get(config.engine, True),
     )
     engine.evaluate(database, deadline=options.deadline)
 

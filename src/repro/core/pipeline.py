@@ -52,21 +52,17 @@ class DeadlineExceeded(Exception):
 # Taint-stage engine registry: config value -> one-line description (the
 # CLI renders these into ``--engine`` help; ``run_pipeline`` validates
 # against the key set).  The datalog tiers map onto
-# ``analyze_with_datalog(use_plans=..., columnar=...)``.
+# ``analyze_with_datalog(use_plans=...)``.
 ENGINE_CHOICES: Dict[str, str] = {
     "python": "tuned hand-written Python fixpoint (default, fastest)",
     "datalog": "declarative rules on compiled join plans (paper-faithful)",
-    "datalog-columnar": (
-        "compiled plans over columnar storage with batch joins"
-    ),
     "datalog-legacy": "uncompiled Datalog interpreter (baseline only)",
 }
 
-# engine value -> (use_plans, columnar) for the datalog tiers.
-_DATALOG_MODES: Dict[str, Tuple[bool, bool]] = {
-    "datalog": (True, False),
-    "datalog-columnar": (True, True),
-    "datalog-legacy": (False, False),
+# engine value -> use_plans for the datalog tiers.
+_DATALOG_MODES: Dict[str, bool] = {
+    "datalog": True,
+    "datalog-legacy": False,
 }
 
 
@@ -262,11 +258,10 @@ def _run_ordering(ctx: PipelineContext):
 def _run_taint(ctx: PipelineContext):
     options = ctx.config.taint_options()
     options.deadline = ctx.deadline
-    mode = _DATALOG_MODES.get(ctx.config.engine)
-    if mode is not None:
+    use_plans = _DATALOG_MODES.get(ctx.config.engine)
+    if use_plans is not None:
         from repro.core.bytecode_datalog import analyze_with_datalog
 
-        use_plans, columnar = mode
         return analyze_with_datalog(
             runtime_bytecode=ctx.bytecode,
             facts=ctx.artifacts["values"],
@@ -275,7 +270,6 @@ def _run_taint(ctx: PipelineContext):
             ordering=ctx.artifacts["ordering"],
             options=options,
             use_plans=use_plans,
-            columnar=columnar,
             warm=ctx.warm,
         )
     from repro.core.taint import TaintAnalysis

@@ -8,8 +8,8 @@ Ethainter rules in the paper.  Supports:
   recursive component — checked at stratification time),
 * compiled join plans (:mod:`repro.datalog.planner`): literals reordered
   by a sideways-information-passing heuristic, compiled once per process
-  and cached, constants and facts interned to dense ints, indexes
-  registered eagerly, per-rule
+  and cached, each run as a generated join kernel, constants and facts
+  interned to dense ints, indexes registered eagerly, per-rule
   :class:`~repro.datalog.planner.EngineStats` profiling,
 * wildcard ``_`` arguments, constants, and Python filter predicates,
 * a textual parser for a Soufflé-like surface syntax (``:-``, ``!``, ``.``)

@@ -13,9 +13,12 @@ Evaluation pipeline:
    reordered by a sideways-information-passing heuristic, per-literal index
    signatures precomputed, and one delta-specialized variant per recursive
    body position.  Plans are cached per process on (rule, delta position,
-   size ranks); each evaluation binds them to its database (constants
-   interned, indexes registered eagerly) in bound objects the engine owns,
-   and executes the bound plans with a flat, non-recursive interpreter.
+   size ranks), each with a generated join kernel: a Python function of
+   nested loops specialized to the variant's join order, key layout,
+   checks and guards, compiled once per variant and provenance mode.
+   Each evaluation binds the plans to its database (constants interned,
+   indexes registered eagerly) in bound objects the engine owns, and runs
+   the kernels on them.
 3. **Semi-naive iteration** — within a recursive SCC, each round runs the
    delta variants whose delta relation gained facts in the previous round,
    probing per-round delta indexes so both sides of a recursive join are
@@ -30,15 +33,16 @@ baseline; both paths produce byte-identical fixpoints and provenance.
 
 from __future__ import annotations
 
-import os
-from array import array
-from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.planner import (
+    BIND_CONST,
+    BIND_INDEX,
+    BIND_KEY,
+    BIND_REL,
+    BIND_STATS,
+    BIND_SYMBOLS,
     EngineStats,
-    JoinStep,
-    NegGuard,
     PlanningError,
     PlanVariant,
     RulePlan,
@@ -55,105 +59,6 @@ from repro.datalog.terms import (
     match,
     substitute,
 )
-
-
-# ------------------------------------------------------------ columnar store
-
-
-def _intersect_runs(left: Sequence[int], right: Sequence[int]) -> List[int]:
-    """Intersection of two ascending row-id runs (merge walk)."""
-    out: List[int] = []
-    append = out.append
-    i = j = 0
-    len_left = len(left)
-    len_right = len(right)
-    while i < len_left and j < len_right:
-        x = left[i]
-        y = right[j]
-        if x == y:
-            append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _probe_runs(
-    postings: Sequence[Dict[int, Sequence[int]]], key: Sequence[int]
-) -> Optional[Sequence[int]]:
-    """Row ids matching ``key`` across per-position postings: the first
-    position's run, narrowed by sorted-run intersection with each further
-    position's run.  Runs append in insertion order so they are ascending
-    by construction.  Returns None on a miss."""
-    run = postings[0].get(key[0])
-    if not run:
-        return None
-    for index in range(1, len(key)):
-        other = postings[index].get(key[index])
-        if not other:
-            return None
-        run = _intersect_runs(run, other)
-        if not run:
-            return None
-    return run
-
-
-class ColumnarRelation:
-    """Column-oriented storage for one relation: parallel ``array('q')``
-    columns of interned ids (one per argument position) plus per-position
-    postings mapping a key id to the ascending run of row ids carrying it.
-
-    Rows only append (the engine's fixpoint is monotone within an
-    evaluation); a removal invalidates row ids, so the database drops the
-    whole view and the next columnar bind rebuilds it."""
-
-    __slots__ = ("arity", "rows", "columns", "postings")
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.rows = 0
-        self.columns: List[array] = [array("q") for _ in range(arity)]
-        self.postings: Dict[int, Dict[int, array]] = {}
-
-    def append(self, fact: Tuple[int, ...]) -> None:
-        row = self.rows
-        for column, value in zip(self.columns, fact):
-            column.append(value)
-        self.rows = row + 1
-        for position, posting in self.postings.items():
-            key = fact[position]
-            run = posting.get(key)
-            if run is None:
-                posting[key] = array("q", (row,))
-            else:
-                run.append(row)
-
-    def register_posting(self, position: int) -> Dict[int, array]:
-        """Ensure the posting index for ``position`` exists (built by one
-        scan of the column; appends keep it fresh)."""
-        posting = self.postings.get(position)
-        if posting is None:
-            posting = {}
-            for row, key in enumerate(self.columns[position]):
-                run = posting.get(key)
-                if run is None:
-                    posting[key] = array("q", (row,))
-                else:
-                    run.append(row)
-            self.postings[position] = posting
-        return posting
-
-    def row_ids(
-        self, positions: Tuple[int, ...], key: Tuple[int, ...]
-    ) -> Sequence[int]:
-        """Rows whose values at ``positions`` equal ``key`` (interned),
-        via sorted-run intersection of the per-position postings."""
-        postings = [self.register_posting(position) for position in positions]
-        run = _probe_runs(postings, key)
-        return run if run is not None else ()
 
 
 class Database:
@@ -185,9 +90,6 @@ class Database:
         self._decoded: Dict[str, frozenset] = {}
         # relation -> {interned fact: decoded fact} memo for lookup().
         self._fact_memo: Dict[str, Dict[Tuple, Tuple]] = {}
-        # relation -> ColumnarRelation, registered by columnar plan binds
-        # and kept fresh by inserts; dropped wholesale on removal.
-        self._columnar: Dict[str, ColumnarRelation] = {}
 
     # ---------------------------------------------------------- interning
 
@@ -238,9 +140,6 @@ class Database:
                     index[key] = [fact]
                 else:
                     bucket.append(fact)
-        view = self._columnar.get(relation)
-        if view is not None:
-            view.append(fact)
         self._decoded.pop(relation, None)
         return True
 
@@ -261,10 +160,7 @@ class Database:
 
     def remove_interned(self, relation: str, fact: Tuple[int, ...]) -> bool:
         """Remove an already-interned fact, maintaining hash indexes and
-        invalidating caches; returns True if it was present.
-
-        Columnar views are append-only (row ids would dangle), so the
-        relation's view is dropped and rebuilt at the next columnar bind."""
+        invalidating caches; returns True if it was present."""
         rel = self._relations.get(relation)
         if rel is None or fact not in rel:
             return False
@@ -282,7 +178,6 @@ class Database:
                     if not bucket:
                         del index[key]
         self._decoded.pop(relation, None)
-        self._columnar.pop(relation, None)
         return True
 
     # -------------------------------------------------------------- reads
@@ -398,112 +293,26 @@ class Database:
             rel = self._relations[relation] = set()
         return rel
 
-    def columnar_view(self, relation: str, arity: int) -> ColumnarRelation:
-        """The live columnar view of ``relation``, built from the current
-        fact set on first request and maintained by subsequent inserts."""
-        view = self._columnar.get(relation)
-        if view is None:
-            view = ColumnarRelation(arity)
-            for fact in self._relations.get(relation, ()):
-                view.append(fact)
-            self._columnar[relation] = view
-        return view
-
-
-class _BoundStep:
-    """A compiled :class:`~repro.datalog.planner.JoinStep` bound to one
-    database: its structure plus the interned key (``key_spec``, and
-    ``static_key`` when every key value is a constant) and the live
-    index / relation / column references the executors read."""
-
-    __slots__ = (
-        "relation",
-        "delta",
-        "positions",
-        "key_spec",
-        "static_key",
-        "outs",
-        "checks",
-        "check_pairs",
-        "guards",
-        "orig_index",
-        "arity",
-        "live_after",
-        "rel_set",
-        "index",
-        "columnar",
-        "postings",
-    )
-
-    def __init__(
-        self,
-        step: JoinStep,
-        key_spec,
-        static_key: Optional[Tuple],
-        guards: Tuple[Any, ...],
-        rel_set: Optional[Set[Tuple]],
-        index: Optional[Dict[Tuple, List[Tuple]]],
-        columnar: Optional[ColumnarRelation],
-        postings: Optional[Tuple[Dict[int, Any], ...]],
-    ) -> None:
-        self.relation = step.relation
-        self.delta = step.delta
-        self.positions = step.positions
-        self.key_spec = key_spec
-        self.static_key = static_key
-        self.outs = step.outs
-        self.checks = step.checks
-        self.check_pairs = step.check_pairs
-        self.guards = guards
-        self.orig_index = step.orig_index
-        self.arity = step.arity
-        self.live_after = step.live_after
-        self.rel_set = rel_set
-        self.index = index
-        self.columnar = columnar
-        self.postings = postings
-
-
-class _BoundNeg:
-    """A compiled negation guard bound to one database: interned probe
-    spec plus the live fact set it probes."""
-
-    __slots__ = ("relation", "key_spec", "rel_set")
-
-    def __init__(self, relation: str, key_spec, rel_set: Set[Tuple]) -> None:
-        self.relation = relation
-        self.key_spec = key_spec
-        self.rel_set = rel_set
-
 
 class _BoundVariant:
-    """A compiled plan variant bound to one database."""
+    """A compiled plan variant bound to one database: its kernel for the
+    engine's provenance mode and the tuple of objects the kernel reads
+    (see :func:`~repro.datalog.planner.kernel_source`).  The engine runs
+    it as ``kernel(bound, delta, delta_index_cache)``."""
 
-    __slots__ = (
-        "key",
-        "delta_relation",
-        "prelude",
-        "steps",
-        "head_spec",
-        "static_head",
-        "n_slots",
-    )
+    __slots__ = ("delta_relation", "kernel", "bound")
 
     def __init__(
-        self, variant: PlanVariant, prelude, steps, head_spec, static_head
+        self, variant: PlanVariant, kernel: Callable[..., list], bound: Tuple
     ) -> None:
-        self.key = variant.key
         self.delta_relation = variant.delta_relation
-        self.prelude = prelude
-        self.steps = steps
-        self.head_spec = head_spec
-        self.static_head = static_head
-        self.n_slots = variant.n_slots
+        self.kernel = kernel
+        self.bound = bound
 
 
 class _BoundPlan:
     """A compiled rule plan bound to one database: the seed variant and
-    the delta variants (in body order), ready for the executors."""
+    the delta variants (in body order), ready to run."""
 
     __slots__ = ("rule", "key", "seed", "deltas")
 
@@ -524,7 +333,8 @@ class Engine:
     :meth:`evaluate` fetches the plans for the database's relation-size
     ordering from the same cache and binds them — interned constants and
     live index references in bound objects this engine owns — so cached
-    plans are never mutated and any number of engines share them.
+    plans are never mutated and any number of engines share them.  Every
+    plan variant executes as its generated join kernel.
     ``use_plans=False`` selects the legacy closure-recursion interpreter,
     kept as the equivalence and benchmark baseline.  ``stats`` accumulates
     :class:`EngineStats` counters across evaluations on either path.
@@ -533,14 +343,6 @@ class Engine:
     fact, the rule and body facts of its *first* derivation; ``explain``
     then renders the derivation tree down to the EDB — the "why" behind an
     analysis warning.
-
-    ``columnar=True`` selects the block-wise columnar executor: relations
-    are additionally bound as parallel int columns with row-id postings,
-    and each join step extends a whole batch of environment rows at once
-    instead of backtracking one tuple at a time.  Fixpoints are
-    byte-identical across all executors.  ``columnar=None`` (the default)
-    consults the ``REPRO_DATALOG_COLUMNAR`` environment variable, so a CI
-    leg can swing every Engine in a test run onto the columnar path.
 
     After an ``evaluate()`` the engine remembers the database and its EDB
     (the facts present before derivation started); :meth:`apply_changes`
@@ -554,15 +356,10 @@ class Engine:
         rules: Sequence[Rule],
         track_provenance: bool = False,
         use_plans: bool = True,
-        columnar: Optional[bool] = None,
     ):
         self.rules = list(rules)
         self.track_provenance = track_provenance
         self.use_plans = use_plans
-        if columnar is None:
-            flag = os.environ.get("REPRO_DATALOG_COLUMNAR", "")
-            columnar = flag.lower() not in ("", "0", "false", "no")
-        self.columnar = bool(columnar) and use_plans
         self.stats = EngineStats()
         # (relation, fact) -> (rule, [(relation, fact), ...]) of 1st proof.
         self.provenance: Dict[Tuple[str, Tuple], Tuple[Rule, List[Tuple[str, Tuple]]]] = {}
@@ -639,106 +436,49 @@ class Engine:
     # ----------------------------------------------------- compiled executor
 
     def _bind_plans(
-        self,
-        database: Database,
-        plans: Sequence[RulePlan],
-        columnar: Optional[bool] = None,
+        self, database: Database, plans: Sequence[RulePlan]
     ) -> List[_BoundPlan]:
         """Bind every variant of every plan to ``database``: intern plan
         constants, capture live relation views, and eagerly register the
         indexes the join steps declared.  The compiled plans are only
         read; everything database-specific lands in new bound objects."""
-        if columnar is None:
-            columnar = self.columnar
         bind = self._bind_variant
         return [
-            _BoundPlan(
-                plan,
-                [bind(database, variant, columnar) for variant in plan.variants()],
-            )
+            _BoundPlan(plan, [bind(database, variant) for variant in plan.variants()])
             for plan in plans
         ]
 
     def _bind_variant(
-        self, database: Database, variant: PlanVariant, columnar: bool
+        self, database: Database, variant: PlanVariant
     ) -> _BoundVariant:
-        # Constants intern in plan order (prelude, then per step its key
-        # and guards, then the head), so symbol ids — and with them set
-        # iteration order and provenance — do not depend on the cache.
+        # The layout lists constants in plan order (prelude, then per step
+        # its key and guards, then the head), so symbol ids — and with
+        # them set iteration order and provenance — do not depend on the
+        # cache.
         intern = database.intern_value
-        prelude = tuple(
-            self._bind_guard(database, guard) for guard in variant.prelude
-        )
-        steps: List[_BoundStep] = []
-        for step in variant.steps:
-            key_spec = step.key_spec
-            static_key = None
-            if step.const_key:
-                key_spec = tuple(
-                    (True, value) if from_slot else (False, intern(value))
-                    for from_slot, value in key_spec
-                )
-                if all(not from_slot for from_slot, _ in key_spec):
-                    static_key = tuple(value for _, value in key_spec)
-            rel_set = index = view = postings = None
-            if step.delta:
-                pass  # candidates come from the per-round delta sets
-            elif columnar:
-                view = database.columnar_view(step.relation, step.arity)
-                if step.positions:
-                    runs = []
-                    for position in step.positions:
-                        if position not in view.postings:
-                            self.stats.index_builds += 1
-                        runs.append(view.register_posting(position))
-                    postings = tuple(runs)
-            elif step.positions:
-                index, built = database.register_index(
-                    step.relation, step.positions
-                )
+        stats = self.stats
+        bound: List[Any] = []
+        for kind, payload in variant.layout:
+            if kind == BIND_CONST:
+                bound.append(intern(payload))
+            elif kind == BIND_KEY:
+                bound.append(tuple(intern(value) for value in payload))
+            elif kind == BIND_INDEX:
+                index, built = database.register_index(*payload)
                 if built:
-                    self.stats.index_builds += 1
+                    stats.index_builds += 1
+                bound.append(index)
+            elif kind == BIND_REL:
+                bound.append(database.relation_view(payload))
+            elif kind == BIND_STATS:
+                bound.append(stats)
+            elif kind == BIND_SYMBOLS:
+                bound.append(database._symbols)
             else:
-                rel_set = database.relation_view(step.relation)
-            guards = step.guards
-            if guards:
-                guards = tuple(
-                    self._bind_guard(database, guard) for guard in guards
-                )
-            steps.append(
-                _BoundStep(
-                    step, key_spec, static_key, guards,
-                    rel_set, index, view, postings,
-                )
-            )
-        head_spec = variant.head_spec
-        static_head = None
-        if variant.const_head:
-            head_spec = tuple(
-                (True, value) if from_slot else (False, intern(value))
-                for from_slot, value in head_spec
-            )
-        if variant.ground_head:
-            static_head = tuple(value for _, value in head_spec)
-        return _BoundVariant(variant, prelude, tuple(steps), head_spec, static_head)
-
-    @staticmethod
-    def _bind_guard(database: Database, guard):
-        if guard.__class__ is NegGuard:
-            key_spec = guard.key_spec
-            if guard.const_key:
-                key_spec = tuple(
-                    (True, value)
-                    if from_slot
-                    else (False, database.intern_value(value))
-                    for from_slot, value in key_spec
-                )
-            return _BoundNeg(
-                guard.relation, key_spec, database.relation_view(guard.relation)
-            )
-        # FilterGuard constants stay raw (predicates see original values),
-        # so a filter runs as compiled.
-        return guard
+                bound.append(payload)
+        return _BoundVariant(
+            variant, variant.kernel(self.track_provenance), tuple(bound)
+        )
 
     def _evaluate_stratum_compiled(
         self,
@@ -746,13 +486,7 @@ class Engine:
         plans: List[_BoundPlan],
         max_iterations: int,
         deadline=None,
-        runner=None,
     ) -> None:
-        if runner is None:
-            runner = (
-                self._run_variant_columnar if self.columnar
-                else self._run_variant
-            )
         stats = self.stats
         tracking = self.track_provenance
         heads = {plan.rule.head.relation for plan in plans}
@@ -773,7 +507,8 @@ class Engine:
         # Naive first round to seed deltas, then semi-naive iteration.
         delta: Dict[str, Set[Tuple]] = {rel: set() for rel in heads}
         for plan in plans:
-            flush(plan, runner(database, plan.seed, None, None), delta)
+            seed = plan.seed
+            flush(plan, seed.kernel(seed.bound, None, None), delta)
 
         iterations = 0
         while any(delta.values()):
@@ -791,418 +526,11 @@ class Engine:
                         continue
                     flush(
                         plan,
-                        runner(database, variant, delta, delta_index_cache),
+                        variant.kernel(variant.bound, delta, delta_index_cache),
                         new_delta,
                     )
             delta = new_delta
         stats.stratum_iterations.append(iterations)
-
-    def _run_variant(
-        self,
-        database: Database,
-        variant: _BoundVariant,
-        delta: Optional[Dict[str, Set[Tuple]]],
-        delta_index_cache: Optional[Dict],
-    ) -> List[Tuple[Tuple, list]]:
-        """Execute one bound plan variant: a flat backtracking join over
-        resumable candidate iterators.  Returns ``(head fact, support)``
-        pairs (support is empty unless provenance tracking is on)."""
-        env: List[Any] = [None] * variant.n_slots
-        for guard in variant.prelude:
-            if not self._eval_guard(database, guard, env):
-                return []
-        steps = variant.steps
-        depth = len(steps)
-        if depth == 0:
-            return [(variant.static_head, [])]
-        tracking = self.track_provenance
-        results: List[Tuple[Tuple, list]] = []
-        iters: List[Any] = [None] * depth
-        trail: List[Any] = [None] * depth
-        head_spec = variant.head_spec
-        static_head = variant.static_head
-        level = 0
-        iters[0] = self._candidates(steps[0], env, delta, delta_index_cache)
-        while level >= 0:
-            step = steps[level]
-            descended = False
-            for fact in iters[level]:
-                ok = True
-                for position, slot in step.outs:
-                    env[slot] = fact[position]
-                for position, slot in step.checks:
-                    if fact[position] != env[slot]:
-                        ok = False
-                        break
-                if ok:
-                    for guard in step.guards:
-                        if not self._eval_guard(database, guard, env):
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                if tracking:
-                    trail[level] = (step.orig_index, step.relation, fact)
-                if level + 1 == depth:
-                    head = static_head
-                    if head is None:
-                        head = tuple(
-                            env[value] if from_slot else value
-                            for from_slot, value in head_spec
-                        )
-                    results.append((head, list(trail) if tracking else []))
-                    continue
-                level += 1
-                iters[level] = self._candidates(
-                    steps[level], env, delta, delta_index_cache
-                )
-                descended = True
-                break
-            if not descended:
-                level -= 1
-        return results
-
-    # ----------------------------------------------------- columnar executor
-
-    def _run_variant_columnar(
-        self,
-        database: Database,
-        variant: _BoundVariant,
-        delta: Optional[Dict[str, Set[Tuple]]],
-        delta_index_cache: Optional[Dict],
-    ) -> List[Tuple[Tuple, list]]:
-        """Execute one bound plan variant block-wise.
-
-        The environment is a *batch*: parallel slot columns (plain int
-        lists) plus a row count.  Each join step extends the whole batch
-        at once — posting probes per distinct environment row, column
-        slicing to materialize the surviving rows — and intermediate
-        batches are deduplicated on their live slots, so redundant
-        derivation paths collapse early instead of multiplying.  Returns
-        the same ``(head fact, support)`` pairs as :meth:`_run_variant`;
-        fixpoints are byte-identical.
-        """
-        stats = self.stats
-        for guard in variant.prelude:
-            if not self._eval_guard(database, guard, ()):
-                return []
-        steps = variant.steps
-        if not steps:
-            return [(variant.static_head, [])]
-        tracking = self.track_provenance
-        stats.rule_batches[variant.key] = (
-            stats.rule_batches.get(variant.key, 0) + 1
-        )
-        n_slots = variant.n_slots
-        cols: List[Optional[list]] = [None] * n_slots
-        count = 1
-        # Provenance trails ride along as extra row-id columns, one per
-        # completed step, decoded against that step's source columns.
-        trail_cols: List[list] = []
-        trail_sources: List[Tuple[int, str, Sequence]] = []
-        last_step = steps[-1]
-        for step in steps:
-            stats.batches += 1
-            # A batch step issues one candidate fetch per environment row
-            # when keyed (count), one scan otherwise.
-            stats.join_probes += count if step.positions else 1
-            if step.delta:
-                src_cols, src_rows, src_postings = self._delta_columns(
-                    step, delta, delta_index_cache
-                )
-            else:
-                view = step.columnar
-                src_cols = view.columns
-                src_rows = view.rows
-                src_postings = step.postings
-            # ---- select (environment row, source row) pairs
-            positions = step.positions
-            sel_env: Optional[list]
-            if not positions:
-                if count == 1:
-                    sel_env = None
-                    sel_rid: Sequence[int] = range(src_rows)
-                else:
-                    sel_env = [
-                        i for i in range(count) for _ in range(src_rows)
-                    ]
-                    sel_rid = list(range(src_rows)) * count
-            elif step.static_key is not None:
-                stats.index_probes += 1
-                run = _probe_runs(src_postings, step.static_key)
-                if run is None:
-                    return []
-                stats.index_hits += 1
-                if count == 1:
-                    sel_env = None
-                    sel_rid = run
-                else:
-                    sel_env = [i for i in range(count) for _ in run]
-                    sel_rid = list(run) * count
-            elif len(positions) == 1:
-                posting_get = src_postings[0].get
-                keys = cols[step.key_spec[0][1]]
-                stats.index_probes += count
-                sel_env = []
-                sel_rid = []
-                extend_env = sel_env.extend
-                extend_rid = sel_rid.extend
-                hits = 0
-                for i, key in enumerate(keys):
-                    run = posting_get(key)
-                    if run:
-                        hits += 1
-                        extend_env(repeat(i, len(run)))
-                        extend_rid(run)
-                stats.index_hits += hits
-            else:
-                parts = [
-                    cols[value] if from_slot else repeat(value, count)
-                    for from_slot, value in step.key_spec
-                ]
-                stats.index_probes += count
-                sel_env = []
-                sel_rid = []
-                extend_env = sel_env.extend
-                extend_rid = sel_rid.extend
-                hits = 0
-                for i, key in enumerate(zip(*parts)):
-                    run = _probe_runs(src_postings, key)
-                    if run:
-                        hits += 1
-                        extend_env(repeat(i, len(run)))
-                        extend_rid(run)
-                stats.index_hits += hits
-            matched = len(sel_rid)
-            # ---- same-literal repeated-variable checks (column pairs)
-            if matched:
-                for position, out_position in step.check_pairs:
-                    left = src_cols[position]
-                    right = src_cols[out_position]
-                    keep = [
-                        j for j, r in enumerate(sel_rid) if left[r] == right[r]
-                    ]
-                    if len(keep) != matched:
-                        sel_rid = [sel_rid[j] for j in keep]
-                        if sel_env is not None:
-                            sel_env = [sel_env[j] for j in keep]
-                        matched = len(keep)
-                        if not matched:
-                            break
-            if not matched:
-                return []
-            stats.batch_rows += matched
-            # ---- materialize the surviving rows: carried live slots
-            #      (column slices) plus this step's new bindings
-            new_cols: List[Optional[list]] = [None] * n_slots
-            if sel_env is None:
-                for slot in step.live_after:
-                    col = cols[slot]
-                    if col is not None:
-                        new_cols[slot] = [col[0]] * matched
-                if tracking and trail_cols:
-                    trail_cols = [[tc[0]] * matched for tc in trail_cols]
-            else:
-                for slot in step.live_after:
-                    col = cols[slot]
-                    if col is not None:
-                        new_cols[slot] = [col[i] for i in sel_env]
-                if tracking and trail_cols:
-                    trail_cols = [
-                        [tc[i] for i in sel_env] for tc in trail_cols
-                    ]
-            live_set = set(step.live_after)
-            for position, slot in step.outs:
-                if slot in live_set:
-                    src = src_cols[position]
-                    new_cols[slot] = [src[r] for r in sel_rid]
-            if tracking:
-                trail_cols.append(list(sel_rid))
-                trail_sources.append((step.orig_index, step.relation, src_cols))
-            cols = new_cols
-            count = matched
-            # ---- guards prune whole batch rows
-            for guard in step.guards:
-                if guard.__class__ is _BoundNeg:
-                    rel_set = guard.rel_set
-                    parts = [
-                        cols[value] if from_slot else repeat(value, count)
-                        for from_slot, value in guard.key_spec
-                    ]
-                    keep = [
-                        j for j, probe in enumerate(zip(*parts))
-                        if probe not in rel_set
-                    ]
-                else:
-                    symbols = database._symbols
-                    predicate = guard.predicate
-                    arg_spec = guard.arg_spec
-                    keep = [
-                        j for j in range(count)
-                        if predicate(*[
-                            symbols[cols[value][j]] if from_slot else value
-                            for from_slot, value in arg_spec
-                        ])
-                    ]
-                if len(keep) != count:
-                    cols = [
-                        [col[j] for j in keep] if col is not None else None
-                        for col in cols
-                    ]
-                    if tracking:
-                        trail_cols = [
-                            [tc[j] for j in keep] for tc in trail_cols
-                        ]
-                    count = len(keep)
-                    if not count:
-                        return []
-            # ---- collapse duplicate rows on the live slots: redundant
-            #      derivation paths are indistinguishable downstream
-            #      (skipped when tracking, where trails differ per path)
-            if not tracking and count > 1 and step is not last_step:
-                live_cols = [col for col in cols if col is not None]
-                if not live_cols:
-                    count = 1
-                else:
-                    seen: Set = set()
-                    add = seen.add
-                    if len(live_cols) == 1:
-                        only = live_cols[0]
-                        keep = [
-                            j for j, value in enumerate(only)
-                            if value not in seen and not add(value)
-                        ]
-                    else:
-                        keep = [
-                            j for j, row in enumerate(zip(*live_cols))
-                            if row not in seen and not add(row)
-                        ]
-                    if len(keep) != count:
-                        cols = [
-                            [col[j] for j in keep] if col is not None else None
-                            for col in cols
-                        ]
-                        count = len(keep)
-        # ---- emit head facts (and per-row supports when tracking)
-        static_head = variant.static_head
-        if static_head is not None:
-            heads: Iterable[Tuple] = repeat(static_head, 1 if not tracking else count)
-        else:
-            parts = [
-                cols[value] if from_slot else repeat(value, count)
-                for from_slot, value in variant.head_spec
-            ]
-            heads = zip(*parts)
-        if not tracking:
-            return [(head, []) for head in heads]
-        results: List[Tuple[Tuple, list]] = []
-        for j, head in enumerate(heads):
-            support = [
-                (orig_index, relation, tuple(col[tc[j]] for col in src))
-                for (orig_index, relation, src), tc in zip(
-                    trail_sources, trail_cols
-                )
-            ]
-            results.append((head, support))
-        return results
-
-    def _delta_columns(
-        self, step, delta: Dict[str, Set[Tuple]], cache: Dict
-    ) -> Tuple[Sequence, int, Optional[List[Dict[int, list]]]]:
-        """Columnar view of a per-round delta set, cached per round: the
-        delta's facts as parallel columns plus per-position postings for
-        the positions this step probes."""
-        relation = step.relation
-        entry = cache.get(relation)
-        if entry is None:
-            facts = delta.get(relation, ())
-            if facts:
-                columns: Sequence = list(zip(*facts))
-                rows = len(facts)
-            else:
-                columns = [() for _ in range(step.arity)]
-                rows = 0
-            entry = cache[relation] = (columns, rows, {})
-        columns, rows, postings_by_position = entry
-        if not step.positions:
-            return columns, rows, None
-        postings = []
-        for position in step.positions:
-            posting = postings_by_position.get(position)
-            if posting is None:
-                posting = {}
-                for row, key in enumerate(columns[position]):
-                    run = posting.get(key)
-                    if run is None:
-                        posting[key] = [row]
-                    else:
-                        run.append(row)
-                postings_by_position[position] = posting
-                self.stats.delta_index_builds += 1
-            postings.append(posting)
-        return columns, rows, postings
-
-    def _candidates(
-        self,
-        step,
-        env: List[Any],
-        delta: Optional[Dict[str, Set[Tuple]]],
-        delta_index_cache: Optional[Dict],
-    ):
-        """Iterator over a join step's candidate facts: delta set/index for
-        delta steps, registered index probe or full scan otherwise."""
-        stats = self.stats
-        stats.join_probes += 1
-        if step.delta:
-            facts = delta.get(step.relation, ())
-            if not step.positions:
-                return iter(facts)
-            cache_key = (step.relation, step.positions)
-            index = delta_index_cache.get(cache_key)
-            if index is None:
-                index = {}
-                for fact in facts:
-                    key = tuple(fact[position] for position in step.positions)
-                    index.setdefault(key, []).append(fact)
-                delta_index_cache[cache_key] = index
-                stats.delta_index_builds += 1
-            key = step.static_key
-            if key is None:
-                key = tuple(
-                    env[value] if from_slot else value
-                    for from_slot, value in step.key_spec
-                )
-            return iter(index.get(key, ()))
-        if not step.positions:
-            return iter(step.rel_set)
-        key = step.static_key
-        if key is None:
-            key = tuple(
-                env[value] if from_slot else value
-                for from_slot, value in step.key_spec
-            )
-        stats.index_probes += 1
-        bucket = step.index.get(key)
-        if bucket is None:
-            return iter(())
-        stats.index_hits += 1
-        return iter(bucket)
-
-    def _eval_guard(self, database: Database, guard, env: List[Any]) -> bool:
-        """Evaluate a bound negation or filter guard against the current
-        slot environment."""
-        if guard.__class__ is _BoundNeg:
-            probe = tuple(
-                env[value] if from_slot else value
-                for from_slot, value in guard.key_spec
-            )
-            return probe not in guard.rel_set
-        symbols = database._symbols
-        values = [
-            symbols[env[value]] if from_slot else value
-            for from_slot, value in guard.arg_spec
-        ]
-        return bool(guard.predicate(*values))
 
     # ------------------------------------------- incremental (DRed) repair
 
@@ -1370,16 +698,14 @@ class Engine:
     def _incremental_plans(self, database: Database) -> List[List[_BoundPlan]]:
         """Repair plans: delta variants for *every* positive body position
         (changes arrive in any relation), fetched from the plan cache and
-        bound once to the database with hash indexes — repair always runs
-        the tuple executor, because removals invalidate columnar row ids
-        mid-flight."""
+        bound once to the database."""
         bound = self._inc_bound
         if bound is None:
             self._inc_plans = self.program.plans(
                 database.count, all_deltas=True
             )
             bound = [
-                self._bind_plans(database, stratum_plans, columnar=False)
+                self._bind_plans(database, stratum_plans)
                 for stratum_plans in self._inc_plans
             ]
             self._inc_bound = bound
@@ -1439,8 +765,8 @@ class Engine:
                 for variant in plan.deltas:
                     if not round_delta.get(variant.delta_relation):
                         continue
-                    for head_fact, _support in self._run_variant(
-                        database, variant, round_delta, delta_index_cache
+                    for head_fact, _support in variant.kernel(
+                        variant.bound, round_delta, delta_index_cache
                     ):
                         if (
                             head_fact not in rel_view
@@ -1477,7 +803,8 @@ class Engine:
                 candidates = overdeleted.get(relation)
                 if not candidates:
                     continue
-                matches = self._run_variant(database, plan.seed, None, None)
+                seed = plan.seed
+                matches = seed.kernel(seed.bound, None, None)
                 derived = 0
                 for head_fact, support in matches:
                     if database._add_interned(relation, head_fact):
@@ -1517,8 +844,8 @@ class Engine:
                 for variant in plan.deltas:
                     if not ins_delta.get(variant.delta_relation):
                         continue
-                    matches = self._run_variant(
-                        database, variant, ins_delta, delta_index_cache
+                    matches = variant.kernel(
+                        variant.bound, ins_delta, delta_index_cache
                     )
                     derived = 0
                     for head_fact, support in matches:
@@ -1587,20 +914,8 @@ class Engine:
                         self.provenance.pop(
                             (relation, database.decode(fact)), None
                         )
-        runner = self._run_variant
-        if self.columnar:
-            # Removals dropped the affected columnar views; binding the
-            # stratum's plans columnar rebuilds them from the cleared
-            # store, so the recompute runs on the batch executor.  The
-            # tuple-bound repair plans stay as they are: the hash indexes
-            # they captured are maintained through removals, so later
-            # DRed passes keep using them.
-            plans = self._bind_plans(
-                database, self._inc_plans[level], columnar=True
-            )
-            runner = self._run_variant_columnar
         self._evaluate_stratum_compiled(
-            database, plans, max_iterations, deadline, runner=runner
+            database, plans, max_iterations, deadline
         )
         for relation in heads:
             new = database._relations.get(relation, set())

@@ -28,14 +28,19 @@ performs the equivalent ahead-of-time work for
   variant treats that literal as the semi-naive delta: it is preferred
   early in the join order (deltas are small), and when probed it uses a
   per-round delta index, so both sides of a recursive join are indexed.
+* **Kernel generation** — each variant becomes Python source for one
+  function of nested loops, one per join step, with slots as local
+  variables and keys, checks and guards inline (:func:`kernel_source`);
+  it is compiled once per variant and provenance mode, and the engine
+  runs it instead of interpreting the plan.
 
 Plans are *compiled* once and *bound* once per evaluation.  A compiled
 plan (:class:`RulePlan`, :class:`PlanVariant`, :class:`JoinStep`,
 :class:`NegGuard`, :class:`FilterGuard`) is immutable — assigning to it
 raises — and holds raw constants, so one plan backs any number of live
 engines at once.  Binding is the engine's job: it interns the constants
-against one database's symbol table and captures that database's index,
-relation and column references in bound objects the engine owns.
+against one database's symbol table and captures that database's index
+and relation references in bound objects the engine owns.
 
 Compilation is cached per process, keyed by content.
 :func:`compile_program` keys a rule program on every rule's text, head
@@ -98,9 +103,10 @@ class EngineStats:
     relation/delta scans), ``index_hits`` the full-relation index probes
     that returned at least one candidate.
 
-    The columnar executor fills ``batches`` (join steps executed
-    block-wise), ``batch_rows`` (rows surviving each step), and
-    ``rule_batches`` (batch executions per rule).  Incremental repair
+    ``batches``, ``batch_rows`` and ``rule_batches`` stay zero and empty:
+    they are kept so ``as_dict()`` payloads keep their keys after the
+    batch (columnar) executor that filled them was retired.  Incremental
+    repair
     (:meth:`~repro.datalog.engine.Engine.apply_changes`) fills
     ``incremental_applies``, ``overdeleted_facts``/``rederived_facts``
     (the DRed delete/restore pair), ``delta_derived_facts`` and
@@ -216,36 +222,21 @@ class _Compiled:
             object.__setattr__(self, name, value)
 
 
-def _has_constant(spec: Spec) -> bool:
-    return any(not from_slot for from_slot, _ in spec)
-
-
 class JoinStep(_Compiled):
     """One positive body literal, compiled: where its candidates come from
     (full relation or delta, scan or index probe) and how a candidate fact
     extends the environment (``outs``) or is checked against it
-    (``checks``).  ``const_key`` says whether ``key_spec`` holds constants
-    the engine must intern when it binds the step.
-
-    The columnar executor additionally uses ``arity`` (to shape delta
-    columns), ``check_pairs`` (same-literal repeated-variable checks as
-    column-pair comparisons) and ``live_after`` (the slots worth
-    materializing after this step — everything later steps, guards, or
-    the head still read)."""
+    (``checks``)."""
 
     __slots__ = (
         "relation",
         "delta",
         "positions",
         "key_spec",
-        "const_key",
         "outs",
         "checks",
-        "check_pairs",
         "guards",
         "orig_index",
-        "arity",
-        "live_after",
     )
 
     def __init__(
@@ -257,24 +248,17 @@ class JoinStep(_Compiled):
         outs: Tuple[Tuple[int, int], ...],
         checks: Tuple[Tuple[int, int], ...],
         orig_index: int,
-        arity: int = 0,
-        check_pairs: Tuple[Tuple[int, int], ...] = (),
         guards: Tuple[Any, ...] = (),
-        live_after: Tuple[int, ...] = (),
     ):
         self._init(
             relation=relation,
             delta=delta,
             positions=positions,
             key_spec=key_spec,
-            const_key=_has_constant(key_spec),
             outs=outs,
             checks=checks,
-            check_pairs=check_pairs,
             guards=guards,
             orig_index=orig_index,
-            arity=arity,
-            live_after=live_after,
         )
 
     def __repr__(self) -> str:
@@ -285,13 +269,12 @@ class JoinStep(_Compiled):
 class NegGuard(_Compiled):
     """A negated literal, compiled to a full-tuple membership probe."""
 
-    __slots__ = ("relation", "key_spec", "const_key", "orig_index")
+    __slots__ = ("relation", "key_spec", "orig_index")
 
     def __init__(self, relation: str, key_spec: Spec, orig_index: int):
         self._init(
             relation=relation,
             key_spec=key_spec,
-            const_key=_has_constant(key_spec),
             orig_index=orig_index,
         )
 
@@ -325,8 +308,13 @@ class PlanVariant(_Compiled):
     ``delta_relation`` names the relation the variant's delta step scans
     (None for the seed/naive variant).  ``prelude`` holds guards whose
     variables are bound before any generator runs (constant-only filters
-    and negations).  ``ground_head`` says the head is all constants;
-    ``const_head`` that it has at least one."""
+    and negations).
+
+    ``layout`` and ``sources`` are the variant's generated join kernel
+    (see :func:`kernel_source`): the binding instructions for the tuple
+    of database objects the kernel takes, and its Python source without
+    and with provenance tracking.  :meth:`kernel` compiles a source on
+    first use and keeps the function for the life of the variant."""
 
     __slots__ = (
         "rule",
@@ -337,9 +325,10 @@ class PlanVariant(_Compiled):
         "steps",
         "head_relation",
         "head_spec",
-        "const_head",
-        "ground_head",
         "n_slots",
+        "layout",
+        "sources",
+        "_kernels",
     )
 
     def __init__(
@@ -352,6 +341,7 @@ class PlanVariant(_Compiled):
         n_slots: int,
         key: Optional[str] = None,
     ):
+        layout, sources = kernel_source(prelude, steps, head_spec)
         self._init(
             rule=rule,
             key=repr(rule) if key is None else key,
@@ -365,10 +355,24 @@ class PlanVariant(_Compiled):
             steps=steps,
             head_relation=rule.head.relation,
             head_spec=head_spec,
-            const_head=_has_constant(head_spec),
-            ground_head=all(not from_slot for from_slot, _ in head_spec),
             n_slots=n_slots,
+            layout=layout,
+            sources=sources,
+            _kernels=[None, None],
         )
+
+    def kernel(self, tracking: bool) -> Callable[..., list]:
+        """The compiled join kernel for one provenance mode (generated
+        once per variant and mode, under the plan-cache lock)."""
+        kernels = self._kernels
+        function = kernels[tracking]
+        if function is None:
+            with _CACHE_LOCK:
+                function = kernels[tracking]
+                if function is None:
+                    function = _compile_kernel(self.sources[tracking])
+                    kernels[tracking] = function
+        return function
 
     def order(self) -> List[str]:
         """Relation names in execution order (tests / debugging)."""
@@ -550,6 +554,213 @@ def _compile_guard(item: Any, orig_index: int, slot_of: Dict[Variable, int]) -> 
     return FilterGuard(item.predicate, tuple(arg_spec), item.name, orig_index)
 
 
+# ------------------------------------------------------- kernel generation
+#
+# Each plan variant becomes one Python function: nested ``for`` loops, one
+# per join step, with slot variables as locals and the key tuples, out
+# bindings, checks and guards written inline.  The source holds integer
+# literals (argument positions, body indexes) and generated names only;
+# everything that depends on the rule text or on a database reaches the
+# kernel through its first argument, a tuple the engine builds per
+# evaluation by walking ``layout``:
+#
+#   BIND_STATS    the engine's EngineStats
+#   BIND_SYMBOLS  the database's symbol list (filters decode slot values)
+#   BIND_CONST    payload interned to its id
+#   BIND_KEY      payload tuple, each value interned (all-constant specs)
+#   BIND_INDEX    the live hash index on payload = (relation, positions)
+#   BIND_REL      the live interned fact set of relation payload
+#   BIND_VALUE    payload itself (relation names, delta-index cache keys,
+#                 filter predicates and their raw constants)
+#
+# Layout entries are in plan order (prelude, then per step its key, index
+# and guards, then the head), so binding interns constants in the same
+# order whatever the cache state.  A kernel is called as
+# ``kernel(bound, delta, delta_index_cache)`` and returns the variant's
+# ``(head fact, support)`` pairs; support lists the ``(body index,
+# relation, fact)`` of each step in execution order when tracking, and is
+# empty otherwise.
+
+BIND_STATS, BIND_SYMBOLS, BIND_CONST, BIND_KEY, BIND_INDEX, BIND_REL, BIND_VALUE = range(7)
+
+# CPython refuses more than 20 statically nested loops in one function,
+# and a kernel nests one loop per join step.
+MAX_JOIN_STEPS = 20
+
+
+def kernel_source(
+    prelude: Tuple[Any, ...], steps: Tuple[JoinStep, ...], head_spec: Spec
+) -> Tuple[Tuple[Tuple[int, Any], ...], Tuple[str, str]]:
+    """Generate a variant's kernel: ``(layout, (untracked source, tracked
+    source))``.  Both sources read the same bound tuple."""
+    layout: List[Tuple[int, Any]] = []
+    setup: List[str] = []
+    body: List[str] = []
+    counters: List[str] = ["jp"]
+    symbols: List[str] = []
+
+    def bind(kind: int, payload: Any = None) -> str:
+        layout.append((kind, payload))
+        return "x%d" % (len(layout) - 1)
+
+    def tuple_expr(spec: Spec) -> str:
+        if not any(from_slot for from_slot, _ in spec):
+            return bind(BIND_KEY, tuple(value for _, value in spec))
+        return _tuple_literal(
+            "s%d" % value if from_slot else bind(BIND_CONST, value)
+            for from_slot, value in spec
+        )
+
+    def emit(depth: int, line: str) -> None:
+        body.append("    " * depth + line)
+
+    def guard(item: Any, depth: int, leave: str) -> None:
+        if item.__class__ is NegGuard:
+            probe = tuple_expr(item.key_spec)
+            emit(depth, "if %s in %s:" % (probe, bind(BIND_REL, item.relation)))
+        else:
+            if not symbols and any(from_slot for from_slot, _ in item.arg_spec):
+                symbols.append(bind(BIND_SYMBOLS))
+            args = ", ".join(
+                "%s[s%d]" % (symbols[0], value)
+                if from_slot
+                else bind(BIND_VALUE, value)
+                for from_slot, value in item.arg_spec
+            )
+            emit(depth, "if not %s(%s):" % (bind(BIND_VALUE, item.predicate), args))
+        emit(depth + 1, leave)
+
+    stats = bind(BIND_STATS)
+    for item in prelude:
+        guard(item, 1, "return out")
+    if not steps:
+        emit(1, "return [(%s, [])]" % tuple_expr(head_spec))
+        return tuple(layout), _kernel_module(layout, [], body, body)
+
+    depth = 1
+    trail: List[str] = []
+    for level, step in enumerate(steps):
+        fact = "f%d" % level
+        trail.append("(%d, %s, %s)" % (
+            step.orig_index, bind(BIND_VALUE, step.relation), fact
+        ))
+        emit(depth, "jp += 1")
+        if step.delta:
+            facts = "d%d" % level
+            setup.append("%s = delta.get(%s, ())" % (
+                facts, bind(BIND_VALUE, step.relation)
+            ))
+            if not step.positions:
+                emit(depth, "for %s in %s:" % (fact, facts))
+            else:
+                # Built lazily at the first fetch and shared through the
+                # per-round cache, exactly when the interpreter built it.
+                index = "i%d" % level
+                setup.append("%s = None" % index)
+                cache_key = bind(BIND_VALUE, (step.relation, step.positions))
+                key = "k%d" % level
+                bucket = "g%d" % level
+                if "dib" not in counters:
+                    counters.append("dib")
+                for line in (
+                    "if %s is None:" % index,
+                    "    %s = dcache.get(%s)" % (index, cache_key),
+                    "    if %s is None:" % index,
+                    "        %s = {}" % index,
+                    "        for %s in %s:" % (fact, facts),
+                    "            %s = %s" % (key, _tuple_literal(
+                        "%s[%d]" % (fact, position) for position in step.positions
+                    )),
+                    "            %s = %s.get(%s)" % (bucket, index, key),
+                    "            if %s is None:" % bucket,
+                    "                %s[%s] = [%s]" % (index, key, fact),
+                    "            else:",
+                    "                %s.append(%s)" % (bucket, fact),
+                    "        dcache[%s] = %s" % (cache_key, index),
+                    "        dib += 1",
+                ):
+                    emit(depth, line)
+                emit(depth, "for %s in %s.get(%s, ()):" % (
+                    fact, index, tuple_expr(step.key_spec)
+                ))
+        elif not step.positions:
+            emit(depth, "for %s in %s:" % (fact, bind(BIND_REL, step.relation)))
+        else:
+            if "ip" not in counters:
+                counters.extend(("ip", "ih"))
+            key = tuple_expr(step.key_spec)
+            bucket = "g%d" % level
+            emit(depth, "ip += 1")
+            emit(depth, "%s = %s.get(%s)" % (
+                bucket, bind(BIND_INDEX, (step.relation, step.positions)), key
+            ))
+            emit(depth, "if %s is not None:" % bucket)
+            emit(depth + 1, "ih += 1")
+            depth += 1
+            emit(depth, "for %s in %s:" % (fact, bucket))
+        depth += 1
+        for position, slot in step.outs:
+            emit(depth, "s%d = %s[%d]" % (slot, fact, position))
+        for position, slot in step.checks:
+            emit(depth, "if %s[%d] != s%d:" % (fact, position, slot))
+            emit(depth + 1, "continue")
+        for item in step.guards:
+            guard(item, depth, "continue")
+
+    head = tuple_expr(head_spec)
+    untracked = body + ["    " * depth + "out.append((%s, []))" % head]
+    tracked = body + [
+        "    " * depth + "out.append((%s, [%s]))" % (head, ", ".join(trail))
+    ]
+    tail = ["    %s.%s += %s" % (stats, _COUNTER_FIELDS[name], name) for name in counters]
+    tail.append("    return out")
+    setup += ["%s = 0" % name for name in counters]
+    return tuple(layout), _kernel_module(
+        layout, setup, untracked + tail, tracked + tail
+    )
+
+
+_COUNTER_FIELDS = {
+    "jp": "join_probes",
+    "ip": "index_probes",
+    "ih": "index_hits",
+    "dib": "delta_index_builds",
+}
+
+
+def _tuple_literal(parts: Iterable[str]) -> str:
+    parts = list(parts)
+    return "(%s%s)" % (", ".join(parts), "," if len(parts) == 1 else "")
+
+
+def _kernel_module(
+    layout: Sequence[Any], setup: List[str], untracked: List[str], tracked: List[str]
+) -> Tuple[str, str]:
+    names = ["x%d" % position for position in range(len(layout))]
+    head = [
+        "def kernel(b, delta, dcache):",
+        "    %s%s = b" % (", ".join(names), "," if len(names) == 1 else ""),
+        "    out = []",
+    ] + ["    " + line for line in setup]
+    return (
+        "\n".join(head + untracked) + "\n",
+        "\n".join(head + tracked) + "\n",
+    )
+
+
+_kernels = 0  # kernel sources compiled in this process (see cache_info)
+
+
+def _compile_kernel(source: str) -> Callable[..., list]:
+    """Compile one kernel source into its function.  The kernel runs with
+    no builtins: everything it calls arrives in its bound tuple."""
+    global _kernels
+    _kernels += 1
+    namespace: Dict[str, Any] = {"__builtins__": {}}
+    exec(compile(source, "<datalog kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 _compiles = 0  # compile_variant calls in this process (see cache_info)
 
 
@@ -569,19 +780,21 @@ def compile_variant(
     generators, prelude_items, guards_after = _order_body(
         rule, delta_position, size_of
     )
+    if len(generators) > MAX_JOIN_STEPS:
+        raise PlanningError(
+            "rule %r has %d positive body literals; compiled plans support "
+            "at most %d (use_plans=False evaluates it)"
+            % (rule, len(generators), MAX_JOIN_STEPS)
+        )
 
     slot_of: Dict[Variable, int] = {}
-    # JoinStep fields per generator; the steps are built once liveness is
-    # known, since compiled steps are immutable.
-    step_fields: List[Dict[str, Any]] = []
+    steps: List[JoinStep] = []
     for orig_index, literal in generators:
         positions: List[int] = []
         key_spec: List[Tuple[bool, Any]] = []
         outs: List[Tuple[int, int]] = []
         checks: List[Tuple[int, int]] = []
-        check_pairs: List[Tuple[int, int]] = []
         new_here: Set[Variable] = set()
-        out_position_of: Dict[int, int] = {}
         for position, arg in enumerate(literal.atom.args):
             if isinstance(arg, Variable):
                 if arg.is_wildcard:
@@ -591,22 +804,18 @@ def compile_variant(
                     slot = slot_of[arg] = len(slot_of)
                     new_here.add(arg)
                     outs.append((position, slot))
-                    out_position_of[slot] = position
                 elif arg in new_here:
                     # Repeated occurrence bound earlier in this same
-                    # literal: compare, don't probe.  ``check_pairs``
-                    # records the same comparison as a column pair for
-                    # the batch executor.
+                    # literal: compare, don't probe.
                     checks.append((position, slot))
-                    check_pairs.append((position, out_position_of[slot]))
                 else:
                     positions.append(position)
                     key_spec.append((True, slot))
             else:
                 positions.append(position)
                 key_spec.append((False, arg))
-        step_fields.append(
-            dict(
+        steps.append(
+            JoinStep(
                 relation=literal.atom.relation,
                 delta=orig_index == delta_position,
                 positions=tuple(positions),
@@ -614,8 +823,6 @@ def compile_variant(
                 outs=tuple(outs),
                 checks=tuple(checks),
                 orig_index=orig_index,
-                arity=literal.atom.arity,
-                check_pairs=tuple(check_pairs),
                 guards=tuple(
                     _compile_guard(item, guard_index, slot_of)
                     for guard_index, item in guards_after.get(orig_index, ())
@@ -642,53 +849,15 @@ def compile_variant(
         else:
             head_spec.append((False, arg))
 
-    live = _live_slots(step_fields, tuple(head_spec))
     return PlanVariant(
         rule=rule,
         delta_position=delta_position,
         prelude=prelude,
-        steps=tuple(
-            JoinStep(live_after=live_after, **fields)
-            for fields, live_after in zip(step_fields, live)
-        ),
+        steps=tuple(steps),
         head_spec=tuple(head_spec),
         n_slots=len(slot_of),
         key=key,
     )
-
-
-def _guard_slots(guard: Any) -> Set[int]:
-    """Environment slots a compiled guard reads."""
-    spec = guard.key_spec if isinstance(guard, NegGuard) else guard.arg_spec
-    return {value for from_slot, value in spec if from_slot}
-
-
-def _live_slots(
-    step_fields: List[Dict[str, Any]], head_spec: Spec
-) -> List[Tuple[int, ...]]:
-    """Backward liveness pass for the batch executor: ``live_after`` of a
-    step is every slot that a later step's key/guards or the head still
-    reads, restricted to slots actually bound by then — the batch
-    materializes exactly these columns and drops the rest."""
-    needed: Set[int] = {value for from_slot, value in head_spec if from_slot}
-    live: List[Set[int]] = [set()] * len(step_fields)
-    for index in range(len(step_fields) - 1, -1, -1):
-        fields = step_fields[index]
-        wanted = set(needed)
-        for guard in fields["guards"]:
-            wanted |= _guard_slots(guard)
-        live[index] = wanted
-        out_slots = {slot for _, slot in fields["outs"]}
-        key_slots = {
-            value for from_slot, value in fields["key_spec"] if from_slot
-        }
-        needed = (wanted - out_slots) | key_slots
-    bound: Set[int] = set()
-    result: List[Tuple[int, ...]] = []
-    for index, fields in enumerate(step_fields):
-        bound |= {slot for _, slot in fields["outs"]}
-        result.append(tuple(sorted(live[index] & bound)))
-    return result
 
 
 def compile_rule(
@@ -1105,11 +1274,13 @@ def compile_program(rules: Sequence[Rule]) -> CompiledProgram:
 def cache_info() -> Dict[str, int]:
     """Counters of the per-process plan caches: ``compiles`` is every
     :func:`compile_variant` call so far (cache misses plus direct calls);
-    ``plan_*``/``program_*`` are the variant and program LRUs' hits,
-    misses, current size and bound."""
+    ``kernels`` every kernel source compiled (at most one per variant and
+    provenance mode); ``plan_*``/``program_*`` are the variant and
+    program LRUs' hits, misses, current size and bound."""
     with _CACHE_LOCK:
         return {
             "compiles": _compiles,
+            "kernels": _kernels,
             "plan_hits": _VARIANTS.hits,
             "plan_misses": _VARIANTS.misses,
             "plans": len(_VARIANTS.data),

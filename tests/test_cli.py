@@ -132,16 +132,19 @@ class TestEngineFlag:
         assert main(["analyze", "--source", victim_file, "--engine", "datalog"]) == 1
         assert "accessible-selfdestruct" in capsys.readouterr().out
 
-    def test_columnar_engine_flag(self, victim_file, capsys):
-        from repro.cli import main
+    def test_retired_columnar_engine_flag_is_rejected(self, victim_file, capsys):
+        import pytest
 
-        assert (
-            main(
-                ["analyze", "--source", victim_file, "--engine", "datalog-columnar"]
-            )
-            == 1
-        )
-        assert "accessible-selfdestruct" in capsys.readouterr().out
+        from repro import api
+        from repro.cli import main
+        from repro.core.pipeline import UnknownEngineError
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--source", victim_file, "--engine", "datalog-columnar"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'datalog-columnar'" in capsys.readouterr().err
+        with pytest.raises(UnknownEngineError):
+            api.analyze(b"\x00", api.AnalysisConfig(engine="datalog-columnar"))
 
     def test_help_enumerates_engine_choices(self, capsys):
         import pytest
@@ -169,7 +172,7 @@ class TestEngineFlag:
         assert excinfo.value.code == 2
         errors = capsys.readouterr().err
         assert "invalid choice: 'sqlite'" in errors
-        for name in ("python", "datalog", "datalog-columnar", "datalog-legacy"):
+        for name in ("python", "datalog", "datalog-legacy"):
             assert name in errors
 
     def test_unknown_engine_config_raises_clear_error(self):
@@ -178,7 +181,7 @@ class TestEngineFlag:
         from repro import api
         from repro.core.pipeline import UnknownEngineError
 
-        with pytest.raises(UnknownEngineError, match="datalog-columnar"):
+        with pytest.raises(UnknownEngineError, match="datalog-legacy"):
             api.analyze(b"\x00", api.AnalysisConfig(engine="sqlite"))
 
 

@@ -1,13 +1,14 @@
-"""Randomized equivalence: naive, semi-naive, compiled-plan, and columnar
-evaluation must produce identical fixpoints on generated stratified
-programs (and the same provenance coverage when tracking is on); DRed
-incremental repair after random EDB add/retract batches must match a
-from-scratch fixpoint over the mutated EDB."""
+"""Randomized equivalence: naive, semi-naive, compiled-kernel, and
+reference-interpreter evaluation must produce identical fixpoints on
+generated stratified programs (and the same provenance coverage when
+tracking is on); DRed incremental repair after random EDB add/retract
+batches must match a from-scratch fixpoint over the mutated EDB."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import Atom, Database, Engine, Literal, Rule, Variable
 from repro.datalog.terms import Filter
+from tests import datalog_oracle
 
 # EDB relations are never rule heads and negation only targets them, so
 # every generated program is stratifiable by construction.
@@ -96,11 +97,9 @@ def _naive(rules, facts) -> Database:
     return database
 
 
-def _semi_naive(rules, facts, use_plans, track=False, columnar=None):
+def _semi_naive(rules, facts, use_plans, track=False):
     database = _load(facts)
-    engine = Engine(
-        rules, track_provenance=track, use_plans=use_plans, columnar=columnar
-    )
+    engine = Engine(rules, track_provenance=track, use_plans=use_plans)
     engine.evaluate(database)
     return database, engine
 
@@ -120,10 +119,11 @@ class TestEngineEquivalence:
         reference = _snapshot(_naive(rules, facts))
         legacy_db, _ = _semi_naive(rules, facts, use_plans=False)
         compiled_db, _ = _semi_naive(rules, facts, use_plans=True)
-        columnar_db, _ = _semi_naive(rules, facts, use_plans=True, columnar=True)
+        with datalog_oracle.executor("reference"):
+            interpreted_db, _ = _semi_naive(rules, facts, use_plans=True)
         assert _snapshot(legacy_db) == reference
         assert _snapshot(compiled_db) == reference
-        assert _snapshot(columnar_db) == reference
+        assert _snapshot(interpreted_db) == reference
 
     @given(_program())
     @settings(max_examples=40, deadline=None)
@@ -133,11 +133,7 @@ class TestEngineEquivalence:
         rules, facts = program
         legacy_db, legacy = _semi_naive(rules, facts, use_plans=False, track=True)
         compiled_db, compiled = _semi_naive(rules, facts, use_plans=True, track=True)
-        _, columnar = _semi_naive(
-            rules, facts, use_plans=True, track=True, columnar=True
-        )
         assert set(legacy.provenance) == set(compiled.provenance)
-        assert set(columnar.provenance) == set(compiled.provenance)
         derived = {
             (relation, fact)
             for relation in IDB_ARITY
@@ -183,16 +179,14 @@ class TestIncrementalEquivalence:
     fixpoint over the mutated EDB — fact-for-fact, and (when tracking)
     provenance-coverage-for-coverage."""
 
-    def _run(self, program, columnar, track=False):
+    def _run(self, program, track=False):
         rules, facts, batches = program
         edb = {
             relation: set(rows)
             for relation, rows in facts.items()
         }
         database = _load(facts)
-        engine = Engine(
-            rules, track_provenance=track, use_plans=True, columnar=columnar
-        )
+        engine = Engine(rules, track_provenance=track, use_plans=True)
         engine.evaluate(database)
         for additions, picks in batches:
             pool = sorted(
@@ -230,13 +224,7 @@ class TestIncrementalEquivalence:
     @given(_program_with_changes())
     @settings(max_examples=40, deadline=None)
     def test_compiled_repair_matches_cold_fixpoint(self, program):
-        database, _, cold_db, _ = self._run(program, columnar=False)
-        assert _snapshot(database) == _snapshot(cold_db)
-
-    @given(_program_with_changes())
-    @settings(max_examples=40, deadline=None)
-    def test_columnar_repair_matches_cold_fixpoint(self, program):
-        database, _, cold_db, _ = self._run(program, columnar=True)
+        database, _, cold_db, _ = self._run(program)
         assert _snapshot(database) == _snapshot(cold_db)
 
     @given(_program_with_changes())
@@ -244,9 +232,7 @@ class TestIncrementalEquivalence:
     def test_repair_preserves_provenance_coverage(self, program):
         """After repair the warm engine explains exactly the facts a cold
         tracking engine derives — nothing stale, nothing missing."""
-        database, engine, cold_db, cold = self._run(
-            program, columnar=False, track=True
-        )
+        database, engine, cold_db, cold = self._run(program, track=True)
         assert set(engine.provenance) == set(cold.provenance)
         derived = {
             (relation, fact)

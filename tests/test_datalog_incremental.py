@@ -7,14 +7,14 @@ import pytest
 from repro.datalog import Database, Engine, parse_program, parse_rule
 
 
-def _closure_engine(track=False, columnar=None):
+def _closure_engine(track=False):
     rules = [
         parse_rule("Path(x, y) :- Edge(x, y)."),
         parse_rule("Path(x, z) :- Path(x, y), Edge(y, z)."),
     ]
     db = Database()
     db.add_all("Edge", [("a", "b"), ("b", "c")])
-    engine = Engine(rules, track_provenance=track, columnar=columnar)
+    engine = Engine(rules, track_provenance=track)
     engine.evaluate(db)
     return engine, db
 
@@ -145,8 +145,8 @@ class TestGuardrails:
         with pytest.raises(RuntimeError):
             engine.apply_changes(additions={"E": [("b",)]})
 
-    def test_columnar_engine_repairs_too(self):
-        engine, db = _closure_engine(columnar=True)
+    def test_simultaneous_add_and_retract_repairs(self):
+        engine, db = _closure_engine()
         engine.apply_changes(
             additions={"Edge": [("c", "d")]},
             retractions={"Edge": [("a", "b")]},
@@ -250,7 +250,7 @@ class TestWarmEngineCache:
 
         contract = self._corpus()[0]
         warm = api.WarmEngineCache()
-        config = api.AnalysisConfig(engine="datalog-columnar")
+        config = api.AnalysisConfig(engine="datalog")
         first = api.analyze(contract.runtime, config, warm=warm)
         second = api.analyze(contract.runtime, config, warm=warm)
         assert warm.stats()["misses"] == 1

@@ -208,7 +208,7 @@ class TestEngineAgreement:
         for name, build in BUNDLE_TEMPLATES.items():
             out = build()
             verdicts = {}
-            for engine in ENGINES + ["datalog-columnar"]:
+            for engine in ENGINES:
                 result = analyze_bundle(
                     out.bundle, AnalysisConfig(engine=engine)
                 )

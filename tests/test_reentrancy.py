@@ -26,7 +26,7 @@ from repro.evm.hashing import function_selector
 from repro.kill import ReentrancyKill
 from repro.minisol import compile_source
 
-ENGINES = ("python", "datalog", "datalog-columnar", "datalog-legacy")
+ENGINES = ("python", "datalog", "datalog-legacy")
 REENTRANCY_KINDS = {REENTRANT_CALL, STATE_WRITE_AFTER_CALL}
 
 

@@ -159,6 +159,8 @@ class TestAnalyzeParity:
             for payload in (
                 {"bytecode": "zz"},
                 {"bytecode": bytecodes[0].hex(), "engine": "nope"},
+                # the retired columnar tier is an unknown engine now
+                {"bytecode": bytecodes[0].hex(), "engine": "datalog-columnar"},
                 {"bytecode": bytecodes[0].hex(), "kinds": ["not-a-kind"]},
                 {"egnine": "python"},
                 {},
